@@ -257,7 +257,7 @@ fn cache_lookup() {
     const WORKERS: u64 = 8;
     const LOOKUPS: u64 = 100_000;
     bench("cache/shardmap_lookup_8workers", || {
-        let m: ShardMap<u64, u64> = ShardMap::new([1, 2, 4, 8, 16, 32, 64]);
+        let m: ShardMap<u64, u64> = ShardMap::new();
         for k in 0..KEYS {
             m.get_or_insert_with(k, || k * 3);
         }

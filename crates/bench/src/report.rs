@@ -153,7 +153,7 @@ pub fn runner_stats_json(stats: &RunnerStats, indent: usize) -> String {
 
 /// The `(name, buckets)` pairs of the per-stage wall-time histograms, in
 /// serialized order (bucket upper bounds in
-/// [`crate::runner::HIST_BOUNDS_MS`], last bucket unbounded). The plaintext
+/// [`smtx_util::HIST_BOUNDS_MS`], last bucket unbounded). The plaintext
 /// `/metrics` endpoint renders these as cumulative `_le_` counters, so it
 /// exposes exactly the histograms [`runner_stats_json`] writes.
 #[must_use]

@@ -26,7 +26,7 @@ use smtx_core::{
     CheckConfig, Checkpoint, ExnMechanism, Machine, MachineConfig, Stats, TraceEvent, VecSink,
 };
 use smtx_trace::codec;
-use smtx_util::ShardMap;
+use smtx_util::{Hist, ShardMap, HIST_BOUNDS_MS};
 use smtx_workloads::{load_kernel, Kernel};
 
 use crate::{
@@ -137,11 +137,6 @@ enum CkKey {
     Single(Kernel, u64, u64),
     Mix([Kernel; 3], u64, u64),
 }
-
-/// Upper bounds (milliseconds) of the first seven buckets of every
-/// per-stage wall-time histogram in [`RunnerStats`]; the eighth bucket is
-/// unbounded.
-pub const HIST_BOUNDS_MS: [u64; 7] = [1, 4, 16, 64, 256, 1024, 4096];
 
 /// Bucket-bound quantile over a [`HIST_BOUNDS_MS`]-shaped histogram: the
 /// upper bound (ms) of the first bucket at which the cumulative count
@@ -259,20 +254,9 @@ pub struct Runner {
     /// segment; one segment is appended per completed run, atomically
     /// under this lock, so parallel workers interleave whole segments.
     trace_file: Mutex<Option<BufWriter<File>>>,
-    ck_ms: [AtomicU64; 8],
-    sim_ms: [AtomicU64; 8],
-    ref_ms: [AtomicU64; 8],
-}
-
-/// Buckets `ms` into a [`HIST_BOUNDS_MS`]-shaped histogram.
-fn record_ms(hist: &[AtomicU64; 8], started: Instant) {
-    let ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
-    let idx = HIST_BOUNDS_MS.iter().position(|&b| ms <= b).unwrap_or(HIST_BOUNDS_MS.len());
-    hist[idx].fetch_add(1, Ordering::Relaxed);
-}
-
-fn load_hist(hist: &[AtomicU64; 8]) -> [u64; 8] {
-    std::array::from_fn(|i| hist[i].load(Ordering::Relaxed))
+    ck_ms: Hist,
+    sim_ms: Hist,
+    ref_ms: Hist,
 }
 
 /// Index of `kernel` in [`Kernel::ALL`], the `RunStart` marker's kernel
@@ -283,6 +267,36 @@ fn kernel_code(kernel: Kernel) -> u64 {
         return 1000 + u64::from(id.0);
     }
     Kernel::ALL.iter().position(|&k| k == kernel).map_or(u64::MAX, |i| i as u64)
+}
+
+/// Encodes one trace segment: a `RunStart` marker, then the run's events.
+fn segment_body(
+    kernel: u64,
+    seed: u64,
+    insts: u64,
+    digest: u64,
+    mut events: Vec<TraceEvent>,
+) -> Vec<u8> {
+    events.insert(0, TraceEvent::RunStart { kernel, seed, insts, digest });
+    codec::encode_body(&events)
+}
+
+/// Merges a chunked run's stats and stitches its trace: one segment per
+/// traced chunk, in chunk order, so a cut run's trace reads like the
+/// monolithic run's (empty when the chunks were not traced).
+fn stitch(kernel: Kernel, seed: u64, digest: u64, chunks: Vec<ChunkResult>) -> (Stats, Vec<u8>) {
+    let mut merged: Option<Stats> = None;
+    let mut body = Vec::new();
+    for (chunk_insts, stats, events) in chunks {
+        if let Some(events) = events {
+            body.extend(segment_body(kernel_code(kernel), seed, chunk_insts, digest, events));
+        }
+        match &mut merged {
+            Some(acc) => acc.merge(&stats),
+            None => merged = Some(stats),
+        }
+    }
+    (merged.expect("the window has at least one chunk"), body)
 }
 
 impl Runner {
@@ -304,10 +318,10 @@ impl Runner {
             idle_skip: true,
             check: false,
             intervals: 1,
-            sims: ShardMap::new(HIST_BOUNDS_MS),
-            refs: ShardMap::new(HIST_BOUNDS_MS),
-            mixes: ShardMap::new(HIST_BOUNDS_MS),
-            checkpoints: ShardMap::new(HIST_BOUNDS_MS),
+            sims: ShardMap::new(),
+            refs: ShardMap::new(),
+            mixes: ShardMap::new(),
+            checkpoints: ShardMap::new(),
             ck_lru: Mutex::new(VecDeque::new()),
             ck_bytes: AtomicU64::new(0),
             ck_cap_bytes: DEFAULT_CHECKPOINT_CAP_BYTES,
@@ -317,9 +331,9 @@ impl Runner {
             sim_cycles: AtomicU64::new(0),
             trace_path: None,
             trace_file: Mutex::new(None),
-            ck_ms: std::array::from_fn(|_| AtomicU64::new(0)),
-            sim_ms: std::array::from_fn(|_| AtomicU64::new(0)),
-            ref_ms: std::array::from_fn(|_| AtomicU64::new(0)),
+            ck_ms: Hist::default(),
+            sim_ms: Hist::default(),
+            ref_ms: Hist::default(),
         }
     }
 
@@ -431,9 +445,9 @@ impl Runner {
             checkpoint_hits: self.ck_hits.load(Ordering::Relaxed),
             sim_cycles: self.sim_cycles.load(Ordering::Relaxed),
             checkpoint_bytes: self.ck_bytes.load(Ordering::Relaxed),
-            checkpoint_ms_hist: load_hist(&self.ck_ms),
-            sim_ms_hist: load_hist(&self.sim_ms),
-            ref_ms_hist: load_hist(&self.ref_ms),
+            checkpoint_ms_hist: self.ck_ms.snapshot(),
+            sim_ms_hist: self.sim_ms.snapshot(),
+            ref_ms_hist: self.ref_ms.snapshot(),
             lock_wait_ms_hist: {
                 let hists = [
                     self.sims.wait_hist(),
@@ -446,33 +460,19 @@ impl Runner {
         }
     }
 
-    /// Appends one completed run's event segment to the trace file
-    /// (created lazily, magic first, on the first segment). No-op when
-    /// tracing is off.
+    /// Appends one completed run's encoded segments (see [`segment_body`])
+    /// to the trace file, created lazily, magic first, on the first append.
+    /// No-op when tracing is off.
     ///
     /// # Panics
     ///
     /// Panics if the trace file cannot be written — a requested trace that
     /// silently vanishes would be worse than a dead experiment.
-    fn append_trace(&self, marker: TraceEvent, m: &mut Machine) {
-        if self.trace_path.is_none() {
-            return;
-        }
-        let events = m.take_tracer().expect("tracer was attached").take_events();
-        self.append_segment(marker, events);
-    }
-
-    /// Appends one already-collected event segment (prefixed with
-    /// `marker`) to the trace file. Interval-parallel runs call this once
-    /// per chunk, in chunk order, so a cut run's segments are stitched in
-    /// the order the monolithic run would have produced them.
     // lint:allow(no-lock-across-io): the trace-file lock exists precisely to
-    // serialize whole-segment appends — chunk-order stitching requires each
-    // segment's bytes to land contiguously, so the write happens under it.
-    fn append_segment(&self, marker: TraceEvent, mut events: Vec<TraceEvent>) {
+    // serialize whole-run appends — chunk-order stitching requires a run's
+    // bytes to land contiguously, so the write happens under it.
+    fn append_segment(&self, body: &[u8]) {
         let Some(path) = &self.trace_path else { return };
-        events.insert(0, marker);
-        let body = codec::encode_body(&events);
         let mut guard = self.trace_file.lock().expect("trace file");
         let writer = match guard.as_mut() {
             Some(w) => w,
@@ -486,7 +486,7 @@ impl Runner {
             }
         };
         writer
-            .write_all(&body)
+            .write_all(body)
             .and_then(|()| writer.flush())
             .unwrap_or_else(|e| panic!("cannot write trace {}: {e}", path.display()));
     }
@@ -590,6 +590,47 @@ impl Runner {
         });
     }
 
+    /// A machine under the runner's engine settings: idle-cycle skipping,
+    /// the `--check` sanitizer and, when `trace`, an in-memory tracer.
+    fn machine(&self, config: &MachineConfig, trace: bool) -> Machine {
+        let mut m = Machine::new(config.clone());
+        m.set_idle_skip(self.idle_skip);
+        if self.check {
+            m.set_check(Some(CheckConfig::default()));
+        }
+        if trace {
+            m.set_tracer(Some(Box::new(VecSink::default())));
+        }
+        m
+    }
+
+    /// [`Runner::machine`] at the start of the measurement window of
+    /// `kernels`, context `i` running `kernels[i]` seeded `seed + i`: loaded
+    /// directly when there is nothing to fast-forward and checkpoints are
+    /// off, otherwise restored from the workload's shared checkpoint.
+    fn window_machine(
+        &self,
+        config: &MachineConfig,
+        trace: bool,
+        kernels: &[Kernel],
+        seed: u64,
+    ) -> Machine {
+        let mut m = self.machine(config, trace);
+        if self.skip == 0 && !self.use_checkpoints {
+            for (tid, &k) in kernels.iter().enumerate() {
+                load_kernel(&mut m, tid, k, seed + tid as u64);
+            }
+        } else {
+            let ck = match *kernels {
+                [kernel] => self.checkpoint_single(kernel, seed),
+                [a, b, c] => self.checkpoint_mix([a, b, c], seed),
+                _ => unreachable!("a run is one kernel or a three-kernel mix"),
+            };
+            m.restore(&ck);
+        }
+        m
+    }
+
     /// The (possibly cached) fast-forward checkpoint for one kernel.
     fn checkpoint_single(&self, kernel: Kernel, seed: u64) -> Arc<Checkpoint> {
         let key = CkKey::Single(kernel, seed, self.skip);
@@ -618,7 +659,7 @@ impl Runner {
         // past prefetch) waste work but cache a deterministic value.
         let t0 = Instant::now();
         let ck = Arc::new(build());
-        record_ms(&self.ck_ms, t0);
+        self.ck_ms.observe(t0.elapsed());
         if !self.use_checkpoints {
             return ck;
         }
@@ -648,7 +689,7 @@ impl Runner {
         }
         let t0 = Instant::now();
         let series = make_checkpoint_series(kernel, seed, bounds);
-        record_ms(&self.ck_ms, t0);
+        self.ck_ms.observe(t0.elapsed());
         let arcs: Vec<Arc<Checkpoint>> = series.into_iter().map(Arc::new).collect();
         if !self.use_checkpoints {
             return arcs;
@@ -773,27 +814,10 @@ impl Runner {
         // Compute outside the lock; a concurrent duplicate (only possible
         // when callers race past prefetch) wastes work but, the simulator
         // being deterministic, never changes the cached value.
-        let segments =
+        let chunks =
             self.simulate_chunks(kernel, seed, insts, config, intervals, self.trace_path.is_some());
-        let mut merged: Option<Stats> = None;
-        for (chunk_insts, stats, events) in segments {
-            if let Some(events) = events {
-                self.append_segment(
-                    TraceEvent::RunStart {
-                        kernel: kernel_code(kernel),
-                        seed,
-                        insts: chunk_insts,
-                        digest: key.config_digest,
-                    },
-                    events,
-                );
-            }
-            match &mut merged {
-                Some(acc) => acc.merge(&stats),
-                None => merged = Some(stats),
-            }
-        }
-        let stats = merged.expect("the window has at least one chunk");
+        let (stats, body) = stitch(kernel, seed, key.config_digest, chunks);
+        self.append_segment(&body);
         assert_eq!(stats.retired(0), insts, "{} did not finish", kernel.name());
         let arch_misses = self.arch_misses(kernel, seed, insts);
         let result = Arc::new(RunResult {
@@ -845,24 +869,13 @@ impl Runner {
         let t0 = Instant::now();
         self.for_each_parallel(n, |i| {
             let chunk = cuts[i + 1] - cuts[i];
-            let mut m = Machine::new(config.clone());
-            m.set_idle_skip(self.idle_skip);
-            if self.check {
-                m.set_check(Some(CheckConfig::default()));
-            }
-            if trace {
-                m.set_tracer(Some(Box::new(VecSink::default())));
-            }
-            if i == 0 {
-                if self.skip == 0 && !self.use_checkpoints {
-                    load_kernel(&mut m, 0, kernel, seed);
-                } else {
-                    let ck = self.checkpoint_single(kernel, seed);
-                    m.restore(&ck);
-                }
+            let mut m = if i == 0 {
+                self.window_machine(config, trace, &[kernel], seed)
             } else {
+                let mut m = self.machine(config, trace);
                 m.restore(&series[i - 1]);
-            }
+                m
+            };
             m.set_epoch_len(epoch);
             run_interval_chunk(&mut m, chunk, i == n - 1, cycle_cap(insts));
             self.assert_check_clean(&m, &format!("{} seed {seed} chunk {i}", kernel.name()));
@@ -876,7 +889,7 @@ impl Runner {
                 trace.then(|| m.take_tracer().expect("tracer attached above").take_events());
             *slots[i].lock().expect("chunk slot") = Some((chunk, m.stats().clone(), events));
         });
-        record_ms(&self.sim_ms, t0);
+        self.sim_ms.observe(t0.elapsed());
         slots
             .into_iter()
             .map(|s| s.into_inner().expect("chunk slot").expect("chunk simulated"))
@@ -917,24 +930,11 @@ impl Runner {
         config: &MachineConfig,
         intervals: u64,
     ) -> Vec<u8> {
-        let segments = self.simulate_chunks(kernel, seed, insts, config, intervals, true);
+        let chunks = self.simulate_chunks(kernel, seed, insts, config, intervals, true);
+        let (stats, body) = stitch(kernel, seed, config.digest(), chunks);
+        assert_eq!(stats.retired(0), insts, "{} did not finish", kernel.name());
         let mut out = codec::MAGIC.to_vec();
-        let mut retired = 0u64;
-        for (chunk_insts, stats, events) in segments {
-            retired += stats.retired(0);
-            let mut events = events.expect("chunks were traced");
-            events.insert(
-                0,
-                TraceEvent::RunStart {
-                    kernel: kernel_code(kernel),
-                    seed,
-                    insts: chunk_insts,
-                    digest: config.digest(),
-                },
-            );
-            out.extend_from_slice(&codec::encode_body(&events));
-        }
-        assert_eq!(retired, insts, "{} did not finish", kernel.name());
+        out.extend_from_slice(&body);
         out
     }
 
@@ -953,7 +953,7 @@ impl Runner {
         let misses = if self.skip == 0 {
             let t0 = Instant::now();
             let misses = crate::arch_misses(kernel, seed, insts);
-            record_ms(&self.ref_ms, t0);
+            self.ref_ms.observe(t0.elapsed());
             misses
         } else {
             // Misses inside the measurement window: continue the functional
@@ -963,7 +963,7 @@ impl Runner {
             let ck = self.checkpoint_single(kernel, seed);
             let t0 = Instant::now();
             let misses = ck.arch_misses_in_window(0, insts, epoch_schedule(insts));
-            record_ms(&self.ref_ms, t0);
+            self.ref_ms.observe(t0.elapsed());
             misses
         };
         self.refs.get_or_insert_with(key, || {
@@ -1020,33 +1020,19 @@ impl Runner {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             return hit;
         }
-        let mut m = Machine::new(config.clone());
-        m.set_idle_skip(self.idle_skip);
-        if self.check {
-            m.set_check(Some(CheckConfig::default()));
-        }
-        if self.trace_path.is_some() {
-            m.set_tracer(Some(Box::new(VecSink::default())));
-        }
-        if self.skip == 0 && !self.use_checkpoints {
-            for (tid, &k) in mix.iter().enumerate() {
-                load_kernel(&mut m, tid, k, seed + tid as u64);
-            }
-        } else {
-            let ck = self.checkpoint_mix(mix, seed);
-            m.restore(&ck);
-        }
+        let trace = self.trace_path.is_some();
+        let mut m = self.window_machine(config, trace, &mix, seed);
         for tid in 0..3 {
             m.set_budget(tid, insts);
         }
         let t0 = Instant::now();
         m.run(cycle_cap(insts * 3));
-        record_ms(&self.sim_ms, t0);
-        // Mix segments carry no single kernel; `u64::MAX` tags them.
-        self.append_trace(
-            TraceEvent::RunStart { kernel: u64::MAX, seed, insts, digest: key.config_digest },
-            &mut m,
-        );
+        self.sim_ms.observe(t0.elapsed());
+        if trace {
+            // Mix segments carry no single kernel; `u64::MAX` tags them.
+            let events = m.take_tracer().expect("tracer attached above").take_events();
+            self.append_segment(&segment_body(u64::MAX, seed, insts, key.config_digest, events));
+        }
         self.assert_check_clean(&m, &format!("{mix:?} seed {seed}"));
         for tid in 0..3 {
             assert_eq!(m.stats().retired(tid), insts, "{mix:?} thread {tid} unfinished");

@@ -53,10 +53,3 @@ fn experiment_bins_reject_malformed_values_with_exit_2() {
         assert_eq!(code, Some(2), "{bin} dangling --seed must exit 2, stderr: {stderr}");
     }
 }
-
-#[test]
-fn debug_wedge_rejects_unknown_mechanism_with_exit_2() {
-    let (code, stderr) = run(env!("CARGO_BIN_EXE_debug_wedge"), &["warp"]);
-    assert_eq!(code, Some(2), "stderr: {stderr}");
-    assert!(stderr.contains("usage:"), "{stderr}");
-}

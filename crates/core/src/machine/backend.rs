@@ -216,7 +216,7 @@ impl Machine {
             // thread computes the quotient.
             Divu if self.config.emulate_divu && !pal => {
                 self.window.clear_issued(seq);
-                self.dispatch_emulation(seq, tid, v0, v1, now);
+                self.raise_emulation(seq, tid, v0, v1, now);
             }
             // ---- integer & FP computation ----
             Add | Sub | Mul | Divu | And | Or | Xor | Sll | Srl | Sra | Cmpeq | Cmplt | Cmple
@@ -450,13 +450,7 @@ impl Machine {
                 if !self.threads[tid].is_handler() {
                     // Traditional handler: redirect the thread back to the
                     // excepting instruction (second pipe refill, paper §3).
-                    let t = &mut self.threads[tid];
-                    t.fetch_pc = actual_next;
-                    t.fetch_pal = false;
-                    t.fetch_stopped = false;
-                    t.fetch_stalled_until = now + 1;
-                    t.redirect_wait = None;
-                    t.last_ifetch_line = None;
+                    self.threads[tid].redirect_fetch(actual_next, false, now + 1);
                     if self.tracer.is_some() {
                         self.emit(TraceEvent::HandlerReturn {
                             cycle: now,
@@ -491,13 +485,7 @@ impl Machine {
         // Cold indirect (or RFE-style) redirect: fetch was stalled waiting
         // for this instruction.
         if self.threads[tid].redirect_wait == Some(seq) {
-            let t = &mut self.threads[tid];
-            t.redirect_wait = None;
-            t.fetch_stopped = false;
-            t.fetch_pc = actual_next;
-            t.fetch_pal = pal;
-            t.fetch_stalled_until = now + 1;
-            t.last_ifetch_line = None;
+            self.threads[tid].redirect_fetch(actual_next, pal, now + 1);
             return;
         }
         let Some(pi) = pred else { return };
@@ -529,12 +517,7 @@ impl Machine {
             }
             BranchKind::Direct => unreachable!("direct targets are perfect"),
         }
-        t.fetch_pc = actual_next;
-        t.fetch_pal = pal;
-        t.fetch_stopped = false;
-        t.redirect_wait = None;
-        t.fetch_stalled_until = now + 1;
-        t.last_ifetch_line = None;
+        t.redirect_fetch(actual_next, pal, now + 1);
         self.stats.threads[tid].mispredicts += 1;
     }
 

@@ -4,15 +4,36 @@
 //! spawning (with quick-start and the instant-fetch limit study), hardware
 //! page walks, duplicate-miss re-linking, reversion when no context is
 //! idle, and `HARDEXC` escalation.
+//!
+//! Every exception enters through one of two paths. A handler thread
+//! (TLB fill or §6 emulation) starts in [`Machine::spawn_handler_thread`],
+//! each kind differing only in the [`HandlerSpawn`] it is handed; every
+//! fallback to the traditional mechanism goes through
+//! [`Machine::revert_to_trap`]. Both restart fetch with
+//! [`crate::thread::ThreadContext::redirect_fetch`].
 
 use smtx_isa::{Inst, PrivReg};
-use smtx_mem::{Pte, PAGE_SHIFT};
+use smtx_mem::{Asid, Pte, PAGE_SHIFT};
 
 use crate::config::ExnMechanism;
 use crate::dyninst::FrontEndInst;
 use crate::machine::{ActiveHandler, HandlerKind, Machine, Walk};
 use crate::thread::ThreadState;
 use crate::trace::{RaiseKind, RevertWhy, SquashCause, TraceEvent};
+
+/// What a handler thread is handed at spawn: the only part of the
+/// multithreaded mechanism that differs between exception kinds.
+struct HandlerSpawn {
+    kind: HandlerKind,
+    /// Handler routine: base address and length in instructions.
+    routine: (u64, usize),
+    /// The fill key the excepting instruction parks on.
+    key: (Asid, u64),
+    /// Address-space id the handler context runs under.
+    asid: Asid,
+    /// The handler's initial privileged registers.
+    priv_regs: [u64; 8],
+}
 
 impl Machine {
     /// Handles a data-TLB miss detected at execute time (possibly on a
@@ -28,46 +49,34 @@ impl Machine {
         }
 
         // A fill for this page is already in flight?
-        if let Some(idx) = self.handlers.iter().position(|h| h.key == key) {
-            if seq < self.handlers[idx].exc_seq {
-                // Out-of-order duplicate miss: re-link the handler to the
-                // older instruction so retirement order stays correct
-                // (paper §4.5).
-                let old_seq = self.handlers[idx].exc_seq;
-                let handler_tid = self.handlers[idx].handler_tid;
-                if let Some(old) = self.window.get_mut(old_seq) {
-                    old.handler_tid = None;
-                }
-                self.waiters.push(key, old_seq);
-                self.window.set_waiting(old_seq, key);
-                self.handlers[idx].exc_seq = seq;
-                self.window.get_mut(seq).expect("present").handler_tid = Some(handler_tid);
-                self.stats.relinks += 1;
-                if self.tracer.is_some() {
-                    self.emit(TraceEvent::Raise {
-                        cycle: now,
-                        tid: tid as u64,
-                        seq,
-                        kind: RaiseKind::Relink,
-                        aux: handler_tid as u64,
-                    });
-                }
-            } else {
-                self.stats.secondary_misses += 1;
-                if self.tracer.is_some() {
-                    self.emit(TraceEvent::Raise {
-                        cycle: now,
-                        tid: tid as u64,
-                        seq,
-                        kind: RaiseKind::Secondary,
-                        aux: vpn,
-                    });
-                }
+        let fill = self.handlers.iter().position(|h| h.key == key);
+        if let Some(idx) = fill.filter(|&idx| seq < self.handlers[idx].exc_seq) {
+            // Out-of-order duplicate miss: re-link the handler to the
+            // older instruction so retirement order stays correct
+            // (paper §4.5).
+            let old_seq = self.handlers[idx].exc_seq;
+            let handler_tid = self.handlers[idx].handler_tid;
+            if let Some(old) = self.window.get_mut(old_seq) {
+                old.handler_tid = None;
+            }
+            self.waiters.push(key, old_seq);
+            self.window.set_waiting(old_seq, key);
+            self.handlers[idx].exc_seq = seq;
+            self.window.get_mut(seq).expect("present").handler_tid = Some(handler_tid);
+            self.stats.relinks += 1;
+            if self.tracer.is_some() {
+                self.emit(TraceEvent::Raise {
+                    cycle: now,
+                    tid: tid as u64,
+                    seq,
+                    kind: RaiseKind::Relink,
+                    aux: handler_tid as u64,
+                });
             }
             self.park_on_fill(seq, key);
             return;
         }
-        if self.walks.iter().any(|w| w.key == key) {
+        if fill.is_some() || self.walks.iter().any(|w| w.key == key) {
             self.stats.secondary_misses += 1;
             if self.tracer.is_some() {
                 self.emit(TraceEvent::Raise {
@@ -95,28 +104,65 @@ impl Machine {
         match self.config.mechanism {
             ExnMechanism::PerfectTlb => unreachable!("perfect TLB cannot miss"),
             ExnMechanism::Traditional => {
-                if self.tracer.is_some() {
-                    self.emit(TraceEvent::Revert {
-                        cycle: now,
-                        tid: tid as u64,
-                        seq,
-                        pc,
-                        why: RevertWhy::Traditional,
-                    });
-                }
-                self.trap(tid, seq, va, pc, now);
+                self.revert_to_trap(tid, seq, va, pc, RevertWhy::Traditional, now);
             }
             ExnMechanism::Multithreaded | ExnMechanism::QuickStart => {
-                self.spawn_handler(tid, seq, key, va, pc, now);
+                let spawn = HandlerSpawn {
+                    kind: HandlerKind::TlbFill,
+                    routine: (self.pal_base, self.pal_len),
+                    key,
+                    asid,
+                    priv_regs: self.tlb_miss_regs(tid, va, pc, [0; 8]),
+                };
+                if self.spawn_handler_thread(tid, seq, spawn, now) {
+                    self.stats.handlers_spawned += 1;
+                } else {
+                    // No idle context: revert to the traditional mechanism
+                    // (paper §4.5 advocates exactly this over stalling).
+                    self.stats.reverted_no_thread += 1;
+                    self.revert_to_trap(tid, seq, va, pc, RevertWhy::NoIdleContext, now);
+                }
             }
             ExnMechanism::Hardware => self.start_walk(tid, seq, key, va, now),
         }
     }
 
-    fn park_on_fill(&mut self, seq: u64, key: (smtx_mem::Asid, u64)) {
+    fn park_on_fill(&mut self, seq: u64, key: (Asid, u64)) {
         self.waiters.push(key, seq);
         let live = self.window.set_waiting(seq, key);
         debug_assert!(live, "parking a live instruction");
+    }
+
+    /// `regs` with the four privileged registers a TLB-miss handler reads
+    /// filled in for a miss by `tid` on `va` at `pc`: faulting address,
+    /// page-table base, excepting PC and ASID.
+    fn tlb_miss_regs(&self, tid: usize, va: u64, pc: u64, mut regs: [u64; 8]) -> [u64; 8] {
+        let t = &self.threads[tid];
+        let space = t.space.expect("running thread has a space");
+        regs[PrivReg::FaultVa.index()] = va;
+        regs[PrivReg::PtBase.index()] = self.spaces[space].pt_base();
+        regs[PrivReg::ExcPc.index()] = pc;
+        regs[PrivReg::Asid.index()] = u64::from(t.asid);
+        regs
+    }
+
+    /// Reverts the exception at `seq` to the traditional trap, recording
+    /// `why` — the single fallback every other mechanism degrades to.
+    fn revert_to_trap(&mut self, tid: usize, seq: u64, va: u64, pc: u64, why: RevertWhy, now: u64) {
+        if self.tracer.is_some() {
+            self.emit(TraceEvent::Revert { cycle: now, tid: tid as u64, seq, pc, why });
+        }
+        self.trap(tid, seq, va, pc, now);
+    }
+
+    /// [`Machine::revert_to_trap`] for an excepting instruction found in the
+    /// window after the fact (a page fault at walk completion, a handler
+    /// escalating with `HARDEXC`); a squashed one needs no trap. Its miss
+    /// was on page `vpn`.
+    fn revert_if_live(&mut self, tid: usize, seq: u64, vpn: u64, why: RevertWhy, now: u64) {
+        let Some(i) = self.window.get(seq) else { return };
+        let (va, pc) = (i.mem_vaddr.unwrap_or(vpn << PAGE_SHIFT), i.pc);
+        self.revert_to_trap(tid, seq, va, pc, why, now);
     }
 
     /// The traditional mechanism (paper Fig. 1a): squash from the excepting
@@ -138,83 +184,47 @@ impl Machine {
         if let Some(pi) = cp {
             self.threads[tid].bu.restore(pi.checkpoint);
         }
-        let space = self.threads[tid].space.expect("running thread has a space");
-        let pt_base = self.spaces[space].pt_base();
-        let asid = self.threads[tid].asid;
+        let regs = self.tlb_miss_regs(tid, va, pc, self.threads[tid].priv_regs);
         let pal_base = self.pal_base;
         let t = &mut self.threads[tid];
-        t.priv_regs[PrivReg::FaultVa.index()] = va;
-        t.priv_regs[PrivReg::PtBase.index()] = pt_base;
-        t.priv_regs[PrivReg::ExcPc.index()] = pc;
-        t.priv_regs[PrivReg::Asid.index()] = u64::from(asid);
-        t.fetch_pc = pal_base;
-        t.fetch_pal = true;
-        t.fetch_stopped = false;
-        t.fetch_stalled_until = now + 1;
-        t.redirect_wait = None;
-        t.last_ifetch_line = None;
+        t.priv_regs = regs;
+        t.redirect_fetch(pal_base, true, now + 1);
         self.stats.traps += 1;
     }
 
-    /// The multithreaded mechanism (paper §4): allocate an idle context to
-    /// run the handler; the faulting instruction stays in the window.
-    fn spawn_handler(
+    /// The multithreaded mechanism (paper §4), shared by every exception
+    /// kind: allocate an idle context to run `spawn`'s handler on behalf of
+    /// `master`, whose excepting instruction `seq` stays in the window,
+    /// parked until the handler delivers. Returns `false`, changing
+    /// nothing, when no context is idle; the caller picks the fallback.
+    fn spawn_handler_thread(
         &mut self,
         master: usize,
         seq: u64,
-        key: (smtx_mem::Asid, u64),
-        va: u64,
-        pc: u64,
+        spawn: HandlerSpawn,
         now: u64,
-    ) {
-        let Some(handler_tid) = (0..self.threads.len())
-            .find(|&i| self.threads[i].state == ThreadState::Idle)
+    ) -> bool {
+        let Some(handler_tid) =
+            (0..self.threads.len()).find(|&i| self.threads[i].state == ThreadState::Idle)
         else {
-            // No idle context: revert to the traditional mechanism
-            // (paper §4.5 advocates exactly this over stalling).
-            self.stats.reverted_no_thread += 1;
-            if self.tracer.is_some() {
-                self.emit(TraceEvent::Revert {
-                    cycle: now,
-                    tid: master as u64,
-                    seq,
-                    pc,
-                    why: RevertWhy::NoIdleContext,
-                });
-            }
-            self.trap(master, seq, va, pc, now);
-            return;
+            return false;
         };
-        self.stats.handlers_spawned += 1;
-        let space = self.threads[master].space.expect("running thread has a space");
-        let pt_base = self.spaces[space].pt_base();
-        let pal_base = self.pal_base;
-        {
-            let t = &mut self.threads[handler_tid];
-            t.state = ThreadState::Exception { master };
-            t.space = None;
-            t.asid = key.0;
-            t.priv_regs = [0; 8];
-            t.priv_regs[PrivReg::FaultVa.index()] = va;
-            t.priv_regs[PrivReg::PtBase.index()] = pt_base;
-            t.priv_regs[PrivReg::ExcPc.index()] = pc;
-            t.priv_regs[PrivReg::Asid.index()] = u64::from(key.0);
-            t.fetch_pc = pal_base;
-            t.fetch_pal = true;
-            t.fetch_stopped = false;
-            t.fetch_stalled_until = now + 1;
-            t.redirect_wait = None;
-            t.last_ifetch_line = None;
-        }
+        let (base, len) = spawn.routine;
+        let t = &mut self.threads[handler_tid];
+        t.state = ThreadState::Exception { master };
+        t.space = None;
+        t.asid = spawn.asid;
+        t.priv_regs = spawn.priv_regs;
+        t.redirect_fetch(base, true, now + 1);
         self.handlers.push(ActiveHandler {
             handler_tid,
             master,
             exc_seq: seq,
-            key,
+            key: spawn.key,
             tag: seq,
-            predicted_len: self.pal_len,
+            predicted_len: len,
             inserted: 0,
-            kind: HandlerKind::TlbFill,
+            kind: spawn.kind,
         });
         if self.tracer.is_some() {
             self.emit(TraceEvent::SpliceStart {
@@ -225,16 +235,16 @@ impl Machine {
             });
         }
         self.window.get_mut(seq).expect("present").handler_tid = Some(handler_tid);
-        self.park_on_fill(seq, key);
+        self.park_on_fill(seq, spawn.key);
         if self.checker.is_some() {
             self.check_handler_spawn(handler_tid, now);
         }
-
         if self.config.limits.instant_handler_fetch {
-            self.inject_handler_instantly(handler_tid, now, self.pal_base, self.pal_len);
+            self.inject_handler_instantly(handler_tid, now, base, len);
         } else if self.config.mechanism == ExnMechanism::QuickStart {
-            self.stage_handler(handler_tid, now, self.pal_base, self.pal_len);
+            self.stage_handler(handler_tid, now, base, len);
         }
+        true
     }
 
     /// Paper §6: dispatch an emulated-instruction exception for the `DIVU`
@@ -243,69 +253,22 @@ impl Machine {
     /// back with `MTDST`. With no idle context the instruction simply
     /// retries next cycle (emulation requires a spare context; see
     /// `MachineConfig::emulate_divu`).
-    pub(crate) fn dispatch_emulation(
-        &mut self,
-        seq: u64,
-        master: usize,
-        v0: u64,
-        v1: u64,
-        now: u64,
-    ) {
+    pub(crate) fn raise_emulation(&mut self, seq: u64, master: usize, v0: u64, v1: u64, now: u64) {
         assert!(self.emul_len > 0, "no emulation handler installed");
-        let Some(handler_tid) = (0..self.threads.len())
-            .find(|&i| self.threads[i].state == ThreadState::Idle)
-        else {
-            return; // retry next cycle
-        };
-        self.stats.emulations_spawned += 1;
-        let pc = self.window.get(seq).expect("emulated instruction present").pc;
-        let key = (smtx_mem::Asid::MAX, seq); // unique, never a real (asid, vpn)
-        let emul_base = self.emul_base;
-        let master_asid = self.threads[master].asid;
-        {
-            let t = &mut self.threads[handler_tid];
-            t.state = ThreadState::Exception { master };
-            t.space = None;
-            t.asid = master_asid;
-            t.priv_regs = [0; 8];
-            t.priv_regs[PrivReg::ExcPc.index()] = pc;
-            t.priv_regs[PrivReg::Scratch0.index()] = v0;
-            t.priv_regs[PrivReg::Scratch1.index()] = v1;
-            t.fetch_pc = emul_base;
-            t.fetch_pal = true;
-            t.fetch_stopped = false;
-            t.fetch_stalled_until = now + 1;
-            t.redirect_wait = None;
-            t.last_ifetch_line = None;
-        }
-        let emul_len = self.emul_len;
-        self.handlers.push(ActiveHandler {
-            handler_tid,
-            master,
-            exc_seq: seq,
-            key,
-            tag: seq,
-            predicted_len: emul_len,
-            inserted: 0,
+        let mut priv_regs = [0; 8];
+        priv_regs[PrivReg::ExcPc.index()] =
+            self.window.get(seq).expect("emulated instruction present").pc;
+        priv_regs[PrivReg::Scratch0.index()] = v0;
+        priv_regs[PrivReg::Scratch1.index()] = v1;
+        let spawn = HandlerSpawn {
             kind: HandlerKind::Emulate,
-        });
-        if self.tracer.is_some() {
-            self.emit(TraceEvent::SpliceStart {
-                cycle: now,
-                handler_tid: handler_tid as u64,
-                master: master as u64,
-                exc_seq: seq,
-            });
-        }
-        self.window.get_mut(seq).expect("present").handler_tid = Some(handler_tid);
-        self.park_on_fill(seq, key);
-        if self.checker.is_some() {
-            self.check_handler_spawn(handler_tid, now);
-        }
-        if self.config.limits.instant_handler_fetch {
-            self.inject_handler_instantly(handler_tid, now, emul_base, emul_len);
-        } else if self.config.mechanism == ExnMechanism::QuickStart {
-            self.stage_handler(handler_tid, now, emul_base, emul_len);
+            routine: (self.emul_base, self.emul_len),
+            key: (Asid::MAX, seq), // unique, never a real (asid, vpn)
+            asid: self.threads[master].asid,
+            priv_regs,
+        };
+        if self.spawn_handler_thread(master, seq, spawn, now) {
+            self.stats.emulations_spawned += 1;
         }
     }
 
@@ -403,7 +366,7 @@ impl Machine {
     /// load through the shared cache ports; multiple walks proceed in
     /// parallel; the TLB is filled speculatively if the faulting
     /// instruction is still alive when the walk completes.
-    fn start_walk(&mut self, tid: usize, seq: u64, key: (smtx_mem::Asid, u64), va: u64, _now: u64) {
+    fn start_walk(&mut self, tid: usize, seq: u64, key: (Asid, u64), va: u64, _now: u64) {
         let space = self.threads[tid].space.expect("running thread has a space");
         let pt_base = self.spaces[space].pt_base();
         // Same arithmetic the PAL handler performs, wrapping on garbage
@@ -437,22 +400,7 @@ impl Machine {
             } else if !pte.is_valid() {
                 // Page fault: the hardware walker machine reverts to the
                 // OS's (traditional) handler.
-                if fault_alive {
-                    let (va, pc) = {
-                        let i = self.window.get(w.fault_seq).expect("fault checked alive");
-                        (i.mem_vaddr.unwrap_or(w.key.1 << PAGE_SHIFT), i.pc)
-                    };
-                    if self.tracer.is_some() {
-                        self.emit(TraceEvent::Revert {
-                            cycle: now,
-                            tid: w.fault_tid as u64,
-                            seq: w.fault_seq,
-                            pc,
-                            why: RevertWhy::PageFaultWalk,
-                        });
-                    }
-                    self.trap(w.fault_tid, w.fault_seq, va, pc, now);
-                }
+                self.revert_if_live(w.fault_tid, w.fault_seq, w.key.1, RevertWhy::PageFaultWalk, now);
                 self.wake_waiters(w.key); // survivors re-raise their miss
             }
             // Valid PTE but nobody alive: drop the fill (paper: fill only
@@ -467,22 +415,7 @@ impl Machine {
         let Some(rec) = self.handler_record(handler_tid).cloned() else { return };
         self.stats.hard_exceptions += 1;
         self.release_handler(handler_tid, false);
-        if self.window.contains(rec.exc_seq) {
-            let (va, pc) = {
-                let i = self.window.get(rec.exc_seq).expect("just probed");
-                (i.mem_vaddr.unwrap_or(rec.key.1 << PAGE_SHIFT), i.pc)
-            };
-            if self.tracer.is_some() {
-                self.emit(TraceEvent::Revert {
-                    cycle: now,
-                    tid: rec.master as u64,
-                    seq: rec.exc_seq,
-                    pc,
-                    why: RevertWhy::HardException,
-                });
-            }
-            self.trap(rec.master, rec.exc_seq, va, pc, now);
-        }
+        self.revert_if_live(rec.master, rec.exc_seq, rec.key.1, RevertWhy::HardException, now);
     }
 
     /// Detects stores that modify a page-table entry an in-flight fill

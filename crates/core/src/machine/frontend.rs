@@ -326,13 +326,7 @@ impl Machine {
             if let Some(pi) = cp {
                 self.threads[master].bu.restore(pi.checkpoint);
             }
-            let t = &mut self.threads[master];
-            t.fetch_pc = victim_pc;
-            t.fetch_pal = victim_pal;
-            t.fetch_stopped = false;
-            t.redirect_wait = None;
-            t.fetch_stalled_until = 0;
-            t.last_ifetch_line = None;
+            self.threads[master].redirect_fetch(victim_pc, victim_pal, 0);
             self.stats.deadlock_squashes += 1;
             self.occupancy() < cap
         } else {

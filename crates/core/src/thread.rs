@@ -216,6 +216,20 @@ impl ThreadContext {
         }
     }
 
+    /// Redirects fetch to `pc` in privilege mode `pal`, resuming at cycle
+    /// `resume_at`: any stop, pending indirect-target wait and I-cache line
+    /// memo is cleared (traps, handler spawns, RFE returns, branch
+    /// resolution and deadlock squashes all restart fetch this way).
+    #[inline]
+    pub fn redirect_fetch(&mut self, pc: u64, pal: bool, resume_at: u64) {
+        self.fetch_pc = pc;
+        self.fetch_pal = pal;
+        self.fetch_stopped = false;
+        self.fetch_stalled_until = resume_at;
+        self.redirect_wait = None;
+        self.last_ifetch_line = None;
+    }
+
     /// Clears all in-flight and fetch state, returning the context to a
     /// clean committed-state-only view (used when a handler context is
     /// released or a thread is frozen).

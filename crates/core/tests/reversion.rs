@@ -3,8 +3,8 @@
 //! exactness against the reference interpreter:
 //!
 //! * **No idle context** (`reverted_no_thread`): every context is running
-//!   an application thread when a miss arrives, so `spawn_handler` falls
-//!   back to trapping in the faulting thread.
+//!   an application thread when a miss arrives, so `spawn_handler_thread`
+//!   finds none and the miss falls back to trapping in the faulting thread.
 //! * **Window-reservation deadlock avoidance** (`deadlock_squashes`): the
 //!   handler thread cannot insert because the window is full of the
 //!   master's post-miss instructions, so the machine squashes from the

@@ -25,10 +25,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use smtx_bench::runner::{hist_quantile_ms, HIST_BOUNDS_MS};
+use smtx_bench::runner::hist_quantile_ms;
 use smtx_rng::{rngs::StdRng, RngExt, SeedableRng};
 use smtx_serve::http::client_request;
 use smtx_serve::json::{quote, Json};
+use smtx_util::{Hist, HIST_BOUNDS_MS};
 
 const USAGE: &str = "usage: smtx-loadgen --addr HOST:PORT [--mode closed|open|burst] \
  [--conns N] [--jobs N] [--rate PER_SEC] [--kernel NAME] [--insts N] [--spread N] \
@@ -153,27 +154,11 @@ fn parse(argv: impl IntoIterator<Item = String>) -> Result<Opts, String> {
 /// Shared run tally: one latency histogram plus outcome counters.
 #[derive(Default)]
 struct Tally {
-    hist: [AtomicU64; 8],
+    hist: Hist,
     ok: AtomicU64,
     failed: AtomicU64,
     rejected: AtomicU64,
     transport_errors: AtomicU64,
-}
-
-impl Tally {
-    fn observe(&self, elapsed: Duration) {
-        let ms = u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX);
-        let idx = HIST_BOUNDS_MS.iter().position(|&b| ms <= b).unwrap_or(HIST_BOUNDS_MS.len());
-        self.hist[idx].fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn snapshot_hist(&self) -> [u64; 8] {
-        let mut out = [0u64; 8];
-        for (slot, c) in out.iter_mut().zip(self.hist.iter()) {
-            *slot = c.load(Ordering::Relaxed);
-        }
-        out
-    }
 }
 
 fn spec_body(opts: &Opts, seed: u64) -> String {
@@ -259,12 +244,12 @@ fn run_job(opts: &Opts, tally: &Tally, seed: u64) {
         match state.as_deref() {
             Some("done") => {
                 tally.ok.fetch_add(1, Ordering::Relaxed);
-                tally.observe(overall.elapsed());
+                tally.hist.observe(overall.elapsed());
                 return;
             }
             Some("failed") => {
                 tally.failed.fetch_add(1, Ordering::Relaxed);
-                tally.observe(overall.elapsed());
+                tally.hist.observe(overall.elapsed());
                 return;
             }
             Some(_) => {}
@@ -409,7 +394,7 @@ fn main() {
     }
     let wall_ms = u64::try_from(t0.elapsed().as_millis()).unwrap_or(u64::MAX);
 
-    let hist = tally.snapshot_hist();
+    let hist = tally.hist.snapshot();
     let p50 = hist_quantile_ms(&hist, 50);
     let p99 = hist_quantile_ms(&hist, 99);
     let ok = tally.ok.load(Ordering::Relaxed);

@@ -39,7 +39,7 @@ use smtx_serve::json::{quote, Json};
 use smtx_serve::{JobSpec, JobState, Submit};
 use smtx_util::StableHasher;
 
-use crate::metrics::{render_hist, CoordMetrics};
+use crate::metrics::CoordMetrics;
 use crate::store::ResultStore;
 
 const JSON: &str = "application/json";
@@ -439,7 +439,7 @@ impl Coordinator {
                             self.done_cv.notify_all();
                             continue;
                         }
-                        self.metrics.observe_ms(&self.metrics.queue_wait_ms, job.submitted.elapsed());
+                        self.metrics.queue_wait_ms.observe(job.submitted.elapsed());
                         job.state = JobState::Running;
                         let body = job.body.clone();
                         let deadline = job.deadline;
@@ -479,7 +479,7 @@ impl Coordinator {
                 (v, Some(ix))
             }
         };
-        self.metrics.observe_ms(&self.metrics.exec_ms, t0.elapsed());
+        self.metrics.exec_ms.observe(t0.elapsed());
         match verdict {
             Verdict::Done(json) => {
                 CoordMetrics::inc(&self.metrics.store_insertions);
@@ -732,8 +732,8 @@ impl Coordinator {
             out.push_str(&format!("smtx_coord_node_outstanding_{i} {}\n", node.outstanding()));
             out.push_str(&format!("smtx_coord_node_dispatched_{i} {}\n", node.dispatched()));
         }
-        render_hist(&mut out, "smtx_coord_queue_wait_ms", &self.metrics.queue_wait_ms);
-        render_hist(&mut out, "smtx_coord_exec_ms", &self.metrics.exec_ms);
+        self.metrics.queue_wait_ms.render(&mut out, "smtx_coord_queue_wait_ms");
+        self.metrics.exec_ms.render(&mut out, "smtx_coord_exec_ms");
         out
     }
 }

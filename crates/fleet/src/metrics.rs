@@ -1,15 +1,14 @@
 //! Coordinator counters behind `GET /metrics` (`smtx_coord_*` namespace).
 //!
 //! Same plaintext `name value` exposition and the same
-//! [`HIST_BOUNDS_MS`]-shaped latency histograms as the per-node
+//! [`Hist`] latency histograms as the per-node
 //! `smtxd_*` metrics — one schema across the fleet, so the load
 //! generator's quantile math ([`smtx_bench::runner::hist_quantile_ms`])
 //! reads either surface unchanged.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
-use smtx_bench::runner::HIST_BOUNDS_MS;
+use smtx_util::Hist;
 
 /// Monotonic coordinator counters. All relaxed: observability only.
 #[derive(Debug, Default)]
@@ -50,12 +49,11 @@ pub struct CoordMetrics {
     pub steals: AtomicU64,
     /// Jobs re-queued after their node died or went unreachable mid-run.
     pub redispatches: AtomicU64,
-    /// Queue-wait histogram: submission to dispatcher pickup (bucket upper
-    /// bounds in [`HIST_BOUNDS_MS`] milliseconds, last bucket unbounded).
-    pub queue_wait_ms: [AtomicU64; 8],
+    /// Queue-wait histogram: submission to dispatcher pickup.
+    pub queue_wait_ms: Hist,
     /// Dispatch-latency histogram: dispatcher pickup to terminal state
     /// (covers forwarding, node execution and result fetch).
-    pub exec_ms: [AtomicU64; 8],
+    pub exec_ms: Hist,
 }
 
 impl CoordMetrics {
@@ -67,14 +65,6 @@ impl CoordMetrics {
     /// Adds `n` to one counter.
     pub fn add(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Buckets one observed duration into a [`HIST_BOUNDS_MS`]-shaped
-    /// histogram.
-    pub fn observe_ms(&self, hist: &[AtomicU64; 8], elapsed: Duration) {
-        let ms = u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX);
-        let idx = HIST_BOUNDS_MS.iter().position(|&b| ms <= b).unwrap_or(HIST_BOUNDS_MS.len());
-        hist[idx].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Every counter as `(name, value)`, in exposition order.
@@ -103,31 +93,19 @@ impl CoordMetrics {
     }
 }
 
-/// Renders one histogram as cumulative `_le_<bound>` counters, ending with
-/// the unbounded `_le_inf` total — the same shape `smtxd` exposes.
-pub fn render_hist(out: &mut String, prefix: &str, hist: &[AtomicU64; 8]) {
-    let mut total = 0u64;
-    for (i, c) in hist.iter().enumerate() {
-        total += c.load(Ordering::Relaxed);
-        match HIST_BOUNDS_MS.get(i) {
-            Some(bound) => out.push_str(&format!("{prefix}_le_{bound} {total}\n")),
-            None => out.push_str(&format!("{prefix}_le_inf {total}\n")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn histograms_render_cumulatively() {
         let m = CoordMetrics::default();
-        m.observe_ms(&m.exec_ms, Duration::from_millis(0));
-        m.observe_ms(&m.exec_ms, Duration::from_millis(100));
-        m.observe_ms(&m.exec_ms, Duration::from_secs(3600));
+        m.exec_ms.observe(Duration::from_millis(0));
+        m.exec_ms.observe(Duration::from_millis(100));
+        m.exec_ms.observe(Duration::from_secs(3600));
         let mut out = String::new();
-        render_hist(&mut out, "smtx_coord_exec_ms", &m.exec_ms);
+        m.exec_ms.render(&mut out, "smtx_coord_exec_ms");
         assert!(out.contains("smtx_coord_exec_ms_le_1 1\n"));
         assert!(out.contains("smtx_coord_exec_ms_le_256 2\n"));
         assert!(out.contains("smtx_coord_exec_ms_le_4096 2\n"));

@@ -39,34 +39,9 @@ impl std::fmt::Display for BadRequest {
     }
 }
 
-fn read_line(r: &mut impl BufRead) -> Result<String, BadRequest> {
-    let mut line = Vec::new();
-    let mut byte = [0u8; 1];
-    loop {
-        match r.read(&mut byte) {
-            Ok(0) => break,
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    break;
-                }
-                line.push(byte[0]);
-                if line.len() > MAX_LINE {
-                    return Err(BadRequest("header line too long".to_string()));
-                }
-            }
-            Err(e) => return Err(BadRequest(format!("read: {e}"))),
-        }
-    }
-    if line.last() == Some(&b'\r') {
-        line.pop();
-    }
-    String::from_utf8(line).map_err(|_| BadRequest("non-UTF-8 header".to_string()))
-}
-
 /// Parses one request out of the front of `buf` without consuming it.
 ///
-/// This is the nonblocking twin of [`read_request`], driven by the event
-/// loop as bytes arrive: `Ok(None)` means the head or body is still
+/// Driven by the event loop as bytes arrive: `Ok(None)` means the head or body is still
 /// incomplete (read more), `Ok(Some((req, consumed)))` hands back the
 /// request and how many bytes of `buf` it occupied, and `Err` is a
 /// malformed request the caller answers 400 to. The same bounds apply:
@@ -75,7 +50,7 @@ fn read_line(r: &mut impl BufRead) -> Result<String, BadRequest> {
 /// buffered forever.
 pub fn try_parse(buf: &[u8]) -> Result<Option<(Request, usize)>, BadRequest> {
     // Find the end of the head: the first empty line. Lines end at `\n`
-    // with an optional `\r` before it, mirroring `read_line`.
+    // with an optional `\r` before it.
     let mut head_end = None;
     let mut line_start = 0usize;
     for (i, &b) in buf.iter().enumerate() {
@@ -144,50 +119,6 @@ pub fn try_parse(buf: &[u8]) -> Result<Option<(Request, usize)>, BadRequest> {
     }
     let body = buf[head_end..head_end + content_length].to_vec();
     Ok(Some((Request { method, path, body }, head_end + content_length)))
-}
-
-/// Reads one request from `stream`. Returns `Err` for anything malformed;
-/// the caller answers 400 and closes.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, BadRequest> {
-    let mut r = BufReader::new(stream);
-    let start = read_line(&mut r)?;
-    let mut parts = start.split_whitespace();
-    let method = parts.next().unwrap_or_default().to_string();
-    let target = parts.next().unwrap_or_default().to_string();
-    let version = parts.next().unwrap_or_default();
-    if method.is_empty() || target.is_empty() || !version.starts_with("HTTP/1.") {
-        return Err(BadRequest(format!("bad request line `{start}`")));
-    }
-    if !target.starts_with('/') {
-        return Err(BadRequest(format!("bad target `{target}`")));
-    }
-    let path = target.split('?').next().unwrap_or(&target).to_string();
-
-    let mut content_length = 0usize;
-    for _ in 0..MAX_HEADERS {
-        let line = read_line(&mut r)?;
-        if line.is_empty() {
-            let mut body = vec![0u8; content_length];
-            if content_length > 0 {
-                r.read_exact(&mut body)
-                    .map_err(|e| BadRequest(format!("short body: {e}")))?;
-            }
-            return Ok(Request { method, path, body });
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(BadRequest(format!("bad header `{line}`")));
-        };
-        if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
-                .trim()
-                .parse()
-                .map_err(|_| BadRequest(format!("bad content-length `{value}`")))?;
-            if content_length > MAX_BODY {
-                return Err(BadRequest(format!("body too large ({content_length} bytes)")));
-            }
-        }
-    }
-    Err(BadRequest("too many headers".to_string()))
 }
 
 fn reason(status: u16) -> &'static str {
@@ -370,29 +301,20 @@ pub fn client_request(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
 
-    fn roundtrip(raw: &str) -> Result<Request, BadRequest> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let raw = raw.to_string();
-        let t = std::thread::spawn(move || {
-            let mut c = TcpStream::connect(addr).unwrap();
-            c.write_all(raw.as_bytes()).unwrap();
-        });
-        let (mut s, _) = listener.accept().unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let req = read_request(&mut s);
-        t.join().unwrap();
-        req
+    /// Parses `raw` as one complete request that fills the whole buffer.
+    fn parse(raw: &[u8]) -> Result<Request, BadRequest> {
+        try_parse(raw).map(|parsed| {
+            let (req, used) = parsed.expect("complete request");
+            assert_eq!(used, raw.len());
+            req
+        })
     }
 
     #[test]
     fn parses_post_with_body() {
-        let req = roundtrip(
-            "POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nbody",
-        )
-        .unwrap();
+        let req =
+            parse(b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nbody").unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/v1/jobs");
         assert_eq!(req.body, b"body");
@@ -400,16 +322,33 @@ mod tests {
 
     #[test]
     fn strips_query_and_requires_http() {
-        let req = roundtrip("GET /metrics?x=1 HTTP/1.0\r\n\r\n").unwrap();
+        let req = parse(b"GET /metrics?x=1 HTTP/1.0\r\n\r\n").unwrap();
         assert_eq!(req.path, "/metrics");
-        assert!(roundtrip("GET /x SPDY/9\r\n\r\n").is_err());
-        assert!(roundtrip("nonsense\r\n\r\n").is_err());
+        assert!(req.body.is_empty());
+        assert!(parse(b"GET /x SPDY/9\r\n\r\n").is_err());
+        assert!(parse(b"nonsense\r\n\r\n").is_err());
+        assert!(parse(b"GET x HTTP/1.1\r\n\r\n").is_err());
+        // Bare-\n line endings parse like \r\n ones.
+        assert_eq!(parse(b"GET /healthz HTTP/1.1\n\n").unwrap().path, "/healthz");
     }
 
     #[test]
     fn rejects_oversized_bodies() {
         let raw = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY + 1);
-        assert!(roundtrip(&raw).is_err());
+        assert!(try_parse(raw.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn rejects_malformed_headers() {
+        assert!(try_parse(b"GET / HTTP/1.1\r\nno-colon\r\n\r\n").is_err());
+        assert!(try_parse(b"GET / HTTP/1.1\r\nContent-Length: four\r\n\r\n").is_err());
+        assert!(try_parse(b"GET / HTTP/1.1\r\nX: \xff\r\n\r\n").is_err());
+        let long = format!("GET / HTTP/1.1\r\nX: {}\r\n\r\n", "a".repeat(MAX_LINE + 1));
+        assert!(try_parse(long.as_bytes()).is_err());
+        let many = format!("GET / HTTP/1.1\r\n{}\r\n", "X: y\r\n".repeat(MAX_HEADERS + 1));
+        assert!(try_parse(many.as_bytes()).is_err());
+        let most = format!("GET / HTTP/1.1\r\n{}\r\n", "X: y\r\n".repeat(MAX_HEADERS));
+        assert!(parse(most.as_bytes()).is_ok());
     }
 
     #[test]
@@ -426,20 +365,12 @@ mod tests {
     }
 
     #[test]
-    fn try_parse_matches_blocking_parser_semantics() {
+    fn try_parse_leaves_pipelined_bytes_unconsumed() {
         let (req, used) = try_parse(b"GET /metrics?x=1 HTTP/1.0\r\n\r\ntrailing").unwrap().unwrap();
         assert_eq!(req.path, "/metrics");
-        assert!(req.body.is_empty());
         // Pipelined leftovers stay in the buffer (one request per
         // connection: the server never parses past the first).
         assert_eq!(used, "GET /metrics?x=1 HTTP/1.0\r\n\r\n".len());
-        assert!(try_parse(b"nonsense\r\n\r\n").is_err());
-        assert!(try_parse(b"GET /x SPDY/9\r\n\r\n").is_err());
-        let big = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY + 1);
-        assert!(try_parse(big.as_bytes()).is_err());
-        // Bare-\n line endings parse like \r\n ones.
-        let (req, _) = try_parse(b"GET /healthz HTTP/1.1\n\n").unwrap().unwrap();
-        assert_eq!(req.path, "/healthz");
     }
 
     #[test]

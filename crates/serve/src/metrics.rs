@@ -6,10 +6,10 @@
 //! exactly the fields `Report::to_json` writes — one schema, two surfaces.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 use smtx_bench::report::{runner_hist_fields, runner_stats_fields};
-use smtx_bench::runner::{RunnerStats, HIST_BOUNDS_MS};
+use smtx_bench::runner::RunnerStats;
+use smtx_util::{render_buckets, Hist};
 
 /// Monotonic service counters. All relaxed: these are observability
 /// counters, not synchronization.
@@ -37,25 +37,16 @@ pub struct Metrics {
     pub batch_requests: AtomicU64,
     /// Individual job specs carried by batch submissions.
     pub batch_jobs: AtomicU64,
-    /// Queue-wait histogram: submission to worker pickup (bucket upper
-    /// bounds in [`HIST_BOUNDS_MS`] milliseconds, last bucket unbounded).
-    pub queue_wait_ms: [AtomicU64; 8],
+    /// Queue-wait histogram: submission to worker pickup.
+    pub queue_wait_ms: Hist,
     /// Execution-latency histogram: worker pickup to terminal state.
-    pub exec_ms: [AtomicU64; 8],
+    pub exec_ms: Hist,
 }
 
 impl Metrics {
     /// Increments one counter.
     pub fn inc(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Buckets one observed duration into a [`HIST_BOUNDS_MS`]-shaped
-    /// histogram.
-    pub fn observe_ms(&self, hist: &[AtomicU64; 8], elapsed: Duration) {
-        let ms = u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX);
-        let idx = HIST_BOUNDS_MS.iter().position(|&b| ms <= b).unwrap_or(HIST_BOUNDS_MS.len());
-        hist[idx].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Renders the plaintext exposition: service counters, live gauges,
@@ -82,48 +73,32 @@ impl Metrics {
         out.push_str(&format!("smtxd_queue_depth {queue_depth}\n"));
         out.push_str(&format!("smtxd_workers_busy {workers_busy}\n"));
         out.push_str(&format!("smtxd_workers_total {workers_total}\n"));
-        render_hist(&mut out, "smtxd_queue_wait_ms", &load_hist(&self.queue_wait_ms));
-        render_hist(&mut out, "smtxd_exec_ms", &load_hist(&self.exec_ms));
+        self.queue_wait_ms.render(&mut out, "smtxd_queue_wait_ms");
+        self.exec_ms.render(&mut out, "smtxd_exec_ms");
         for (name, value) in runner_stats_fields(runner) {
             out.push_str(&format!("smtxd_runner_{name} {value}\n"));
         }
         for (name, buckets) in runner_hist_fields(runner) {
             let prefix = format!("smtxd_runner_{}", name.trim_end_matches("_hist"));
-            render_hist(&mut out, &prefix, &buckets);
+            render_buckets(&mut out, &prefix, &buckets);
         }
         out
-    }
-}
-
-fn load_hist(hist: &[AtomicU64; 8]) -> [u64; 8] {
-    std::array::from_fn(|i| hist[i].load(Ordering::Relaxed))
-}
-
-/// Renders one histogram as cumulative `_le_<bound>` counters (the format
-/// scrapers expect), ending with the unbounded `_le_inf` total.
-fn render_hist(out: &mut String, prefix: &str, buckets: &[u64; 8]) {
-    let mut total = 0u64;
-    for (i, count) in buckets.iter().enumerate() {
-        total += count;
-        match HIST_BOUNDS_MS.get(i) {
-            Some(bound) => out.push_str(&format!("{prefix}_le_{bound} {total}\n")),
-            None => out.push_str(&format!("{prefix}_le_inf {total}\n")),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn render_includes_every_counter_and_runner_field() {
         let m = Metrics::default();
         Metrics::inc(&m.jobs_accepted);
         Metrics::inc(&m.jobs_accepted);
-        m.observe_ms(&m.queue_wait_ms, Duration::from_millis(0));
-        m.observe_ms(&m.queue_wait_ms, Duration::from_millis(3));
-        m.observe_ms(&m.exec_ms, Duration::from_secs(3600));
+        m.queue_wait_ms.observe(Duration::from_millis(0));
+        m.queue_wait_ms.observe(Duration::from_millis(3));
+        m.exec_ms.observe(Duration::from_secs(3600));
         let stats = RunnerStats {
             unique_runs: 3,
             cache_hits: 5,

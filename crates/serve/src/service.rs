@@ -572,10 +572,7 @@ impl Service {
                             self.done_cv.notify_all();
                             continue;
                         }
-                        self.metrics.observe_ms(
-                            &self.metrics.queue_wait_ms,
-                            r.submitted.elapsed(),
-                        );
+                        self.metrics.queue_wait_ms.observe(r.submitted.elapsed());
                         r.state = JobState::Running;
                         let spec = r.spec.clone();
                         inner.busy += 1;
@@ -592,7 +589,7 @@ impl Service {
             // must fail one job, not the daemon.
             let t0 = Instant::now();
             let outcome = catch_unwind(AssertUnwindSafe(|| self.execute(&spec)));
-            self.metrics.observe_ms(&self.metrics.exec_ms, t0.elapsed());
+            self.metrics.exec_ms.observe(t0.elapsed());
             let (state, trace) = match outcome {
                 Ok((json, trace)) => {
                     Metrics::inc(&self.metrics.jobs_completed);

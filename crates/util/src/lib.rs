@@ -16,9 +16,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod hist;
 mod inline_vec;
 mod shard;
 
+pub use hist::{render_buckets, Hist, HIST_BOUNDS_MS};
 pub use inline_vec::InlineVec;
 pub use shard::{ShardBuildHasher, ShardMap};
 

@@ -8,17 +8,15 @@
 //! that drains a cache for diagnostics is deterministic by construction,
 //! not by keeping the lookup path ordered.
 //!
-//! Every lock acquisition's wait time is recorded in a histogram shaped
-//! like the runner's wall-time histograms (seven caller-supplied
-//! millisecond bounds, eighth bucket unbounded), so cache-lock contention
-//! is observable wherever the map is embedded.
+//! Every lock acquisition's wait time is recorded in a [`Hist`], the same
+//! histogram the runner's wall times use, so cache-lock contention is
+//! observable wherever the map is embedded.
 
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
-use crate::{FastHashMap, FastHasher};
+use crate::{FastHashMap, FastHasher, Hist};
 
 const SHARDS: usize = 16;
 
@@ -26,23 +24,19 @@ const SHARDS: usize = 16;
 #[derive(Debug)]
 pub struct ShardMap<K, V> {
     shards: Vec<Mutex<FastHashMap<K, V>>>,
-    bounds: [u64; 7],
     /// Lock-wait histogram per shard (summed on read): workers touch only
     /// their shard's counters, so observability never recreates the
     /// single contended cache line the sharding removed.
-    wait_hist: Vec<[AtomicU64; 8]>,
+    wait_hist: Vec<Hist>,
 }
 
 impl<K: Hash + Ord + Clone, V: Clone> ShardMap<K, V> {
-    /// Creates an empty map. `bounds` are the upper bounds (milliseconds)
-    /// of the first seven lock-wait histogram buckets; the eighth is
-    /// unbounded.
+    /// Creates an empty map.
     #[must_use]
-    pub fn new(bounds: [u64; 7]) -> ShardMap<K, V> {
+    pub fn new() -> ShardMap<K, V> {
         ShardMap {
             shards: (0..SHARDS).map(|_| Mutex::new(FastHashMap::default())).collect(),
-            bounds,
-            wait_hist: (0..SHARDS).map(|_| std::array::from_fn(|_| AtomicU64::new(0))).collect(),
+            wait_hist: (0..SHARDS).map(|_| Hist::default()).collect(),
         }
     }
 
@@ -55,7 +49,7 @@ impl<K: Hash + Ord + Clone, V: Clone> ShardMap<K, V> {
         // Only a blocked acquisition is actually timed.
         match self.shards[shard].try_lock() {
             Ok(guard) => {
-                self.wait_hist[shard][0].fetch_add(1, Ordering::Relaxed);
+                self.wait_hist[shard].observe_ms(0);
                 return guard;
             }
             Err(std::sync::TryLockError::Poisoned(_)) => panic!("shard lock poisoned"),
@@ -63,9 +57,7 @@ impl<K: Hash + Ord + Clone, V: Clone> ShardMap<K, V> {
         }
         let t0 = Instant::now();
         let guard = self.shards[shard].lock().expect("shard lock poisoned");
-        let ms = u64::try_from(t0.elapsed().as_millis()).unwrap_or(u64::MAX);
-        let idx = self.bounds.iter().position(|&b| ms <= b).unwrap_or(self.bounds.len());
-        self.wait_hist[shard][idx].fetch_add(1, Ordering::Relaxed);
+        self.wait_hist[shard].observe(t0.elapsed());
         guard
     }
 
@@ -123,13 +115,18 @@ impl<K: Hash + Ord + Clone, V: Clone> ShardMap<K, V> {
         out
     }
 
-    /// The lock-wait histogram (bucket bounds as passed to [`ShardMap::new`],
-    /// last bucket unbounded).
+    /// The lock-wait histogram summed over every shard (bucket bounds
+    /// [`crate::HIST_BOUNDS_MS`], last bucket unbounded).
     #[must_use]
     pub fn wait_hist(&self) -> [u64; 8] {
-        std::array::from_fn(|i| {
-            self.wait_hist.iter().map(|h| h[i].load(Ordering::Relaxed)).sum()
-        })
+        let shards: Vec<[u64; 8]> = self.wait_hist.iter().map(Hist::snapshot).collect();
+        std::array::from_fn(|i| shards.iter().map(|h| h[i]).sum())
+    }
+}
+
+impl<K: Hash + Ord + Clone, V: Clone> Default for ShardMap<K, V> {
+    fn default() -> Self {
+        ShardMap::new()
     }
 }
 
@@ -143,7 +140,7 @@ mod tests {
 
     #[test]
     fn get_or_insert_returns_first_value() {
-        let m: ShardMap<u64, u64> = ShardMap::new([1, 4, 16, 64, 256, 1024, 4096]);
+        let m: ShardMap<u64, u64> = ShardMap::new();
         assert_eq!(m.get(&3), None);
         assert_eq!(m.get_or_insert_with(3, || 30), 30);
         assert_eq!(m.get_or_insert_with(3, || 99), 30);
@@ -158,7 +155,7 @@ mod tests {
 
     #[test]
     fn sorted_entries_are_key_ordered_across_shards() {
-        let m: ShardMap<u64, u64> = ShardMap::new([1, 4, 16, 64, 256, 1024, 4096]);
+        let m: ShardMap<u64, u64> = ShardMap::new();
         for k in (0..1000u64).rev() {
             let _ = m.get_or_insert_with(k, || k * 2);
         }
@@ -172,7 +169,7 @@ mod tests {
 
     #[test]
     fn wait_histogram_counts_acquisitions() {
-        let m: ShardMap<u64, u64> = ShardMap::new([1, 4, 16, 64, 256, 1024, 4096]);
+        let m: ShardMap<u64, u64> = ShardMap::new();
         let _ = m.get(&1);
         let _ = m.get_or_insert_with(2, || 2);
         let hist = m.wait_hist();
@@ -181,7 +178,7 @@ mod tests {
 
     #[test]
     fn concurrent_inserts_land_exactly_once() {
-        let m: ShardMap<u64, u64> = ShardMap::new([1, 4, 16, 64, 256, 1024, 4096]);
+        let m: ShardMap<u64, u64> = ShardMap::new();
         std::thread::scope(|s| {
             for t in 0..8u64 {
                 let m = &m;
