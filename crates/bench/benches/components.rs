@@ -100,6 +100,9 @@ fn bench_step_cycle() {
 /// capture. `checkpoint/series_capture_4` against 4× `capture_20k` is the
 /// measured win of sweeping the interpreter once instead of once per
 /// boundary — the pre-pass the interval-parallel engine leans on.
+/// `checkpoint/capture_1m_compress` fast-forwards the DTLB-heaviest kernel
+/// by one million instructions from a machine loaded once, so its time in
+/// ms is the interpreter's fast-forward cost in ns per instruction.
 fn checkpoint_ops() {
     bench("checkpoint/capture_20k", || {
         let config = MachineConfig::paper_baseline(ExnMechanism::Multithreaded).with_threads(2);
@@ -107,6 +110,13 @@ fn checkpoint_ops() {
         load_kernel(&mut m, 0, Kernel::Murphi, 42);
         let ck = Checkpoint::capture(&m, 20_000).expect("capture");
         ck.approx_bytes()
+    });
+    let config = MachineConfig::paper_baseline(ExnMechanism::Multithreaded).with_threads(2);
+    let mut compress = Machine::new(config);
+    load_kernel(&mut compress, 0, Kernel::Compress, 42);
+    bench("checkpoint/capture_1m_compress", || {
+        let ck = Checkpoint::capture(&compress, 1_000_000).expect("capture");
+        ck.threads()[0].pc
     });
     bench("checkpoint/restore_20k", || {
         let config = MachineConfig::paper_baseline(ExnMechanism::Multithreaded).with_threads(2);

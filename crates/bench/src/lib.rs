@@ -190,22 +190,10 @@ pub fn arch_misses_with_epoch(
     epoch: Option<u64>,
 ) -> u64 {
     let mut world = kernel_reference(kernel, seed);
-    let mut pos = 0u64;
-    while pos < insts {
-        let step = match epoch {
-            Some(e) => (insts - pos).min(e - (pos % e)),
-            None => insts - pos,
-        };
-        world.run(step);
-        pos += step;
-        // Mirrors the machine: the budget freeze wins over the epoch reset
-        // on the final retirement, so no flush fires at `pos == insts`.
-        if let Some(e) = epoch {
-            if pos.is_multiple_of(e) && pos < insts {
-                world.interp.flush_dtlb();
-            }
-        }
-    }
+    world
+        .interp
+        .run_epochs(&mut world.pm, &mut world.space, insts, epoch)
+        .expect("reference program runs clean");
     world.interp.dtlb_misses()
 }
 

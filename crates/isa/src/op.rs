@@ -217,6 +217,69 @@ pub enum BranchKind {
     Return,
 }
 
+/// Every [`Op`] indexed by its opcode. A `static`, not an associated
+/// `const`: a `const` array is materialized afresh at each use, which put a
+/// 57-entry copy on every instruction decode.
+static OPCODE_TABLE: [Op; MAX_OPCODE as usize + 1] = [
+    Op::Add,
+    Op::Sub,
+    Op::Mul,
+    Op::Divu,
+    Op::And,
+    Op::Or,
+    Op::Xor,
+    Op::Sll,
+    Op::Srl,
+    Op::Sra,
+    Op::Cmpeq,
+    Op::Cmplt,
+    Op::Cmple,
+    Op::Cmpult,
+    Op::Addi,
+    Op::Andi,
+    Op::Ori,
+    Op::Xori,
+    Op::Slli,
+    Op::Srli,
+    Op::Srai,
+    Op::Cmpeqi,
+    Op::Cmplti,
+    Op::Ldi,
+    Op::Shlori,
+    Op::Fadd,
+    Op::Fsub,
+    Op::Fmul,
+    Op::Fdiv,
+    Op::Fsqrt,
+    Op::Fcmpeq,
+    Op::Fcmplt,
+    Op::Itof,
+    Op::Ftoi,
+    Op::Ldq,
+    Op::Stq,
+    Op::Fldq,
+    Op::Fstq,
+    Op::Beq,
+    Op::Bne,
+    Op::Blt,
+    Op::Bge,
+    Op::Bgt,
+    Op::Ble,
+    Op::Br,
+    Op::Jal,
+    Op::Jr,
+    Op::Jalr,
+    Op::Ret,
+    Op::Mfpr,
+    Op::Mtpr,
+    Op::Tlbwr,
+    Op::Rfe,
+    Op::Hardexc,
+    Op::Nop,
+    Op::Halt,
+    Op::Mtdst,
+];
+
 impl Op {
     /// Decodes an opcode byte back into an [`Op`].
     #[must_use]
@@ -224,70 +287,10 @@ impl Op {
         if code > MAX_OPCODE {
             return None;
         }
-        // SAFETY-FREE: Op is a dense #[repr(u8)] enum starting at 0; we
-        // rebuild via a match-free table to avoid unsafe transmute.
-        Some(Self::TABLE[code as usize])
+        // Op is a dense #[repr(u8)] enum starting at 0, so a table lookup
+        // replaces an unsafe transmute.
+        Some(OPCODE_TABLE[code as usize])
     }
-
-    const TABLE: [Op; MAX_OPCODE as usize + 1] = [
-        Op::Add,
-        Op::Sub,
-        Op::Mul,
-        Op::Divu,
-        Op::And,
-        Op::Or,
-        Op::Xor,
-        Op::Sll,
-        Op::Srl,
-        Op::Sra,
-        Op::Cmpeq,
-        Op::Cmplt,
-        Op::Cmple,
-        Op::Cmpult,
-        Op::Addi,
-        Op::Andi,
-        Op::Ori,
-        Op::Xori,
-        Op::Slli,
-        Op::Srli,
-        Op::Srai,
-        Op::Cmpeqi,
-        Op::Cmplti,
-        Op::Ldi,
-        Op::Shlori,
-        Op::Fadd,
-        Op::Fsub,
-        Op::Fmul,
-        Op::Fdiv,
-        Op::Fsqrt,
-        Op::Fcmpeq,
-        Op::Fcmplt,
-        Op::Itof,
-        Op::Ftoi,
-        Op::Ldq,
-        Op::Stq,
-        Op::Fldq,
-        Op::Fstq,
-        Op::Beq,
-        Op::Bne,
-        Op::Blt,
-        Op::Bge,
-        Op::Bgt,
-        Op::Ble,
-        Op::Br,
-        Op::Jal,
-        Op::Jr,
-        Op::Jalr,
-        Op::Ret,
-        Op::Mfpr,
-        Op::Mtpr,
-        Op::Tlbwr,
-        Op::Rfe,
-        Op::Hardexc,
-        Op::Nop,
-        Op::Halt,
-        Op::Mtdst,
-    ];
 
     /// The opcode byte used in the 32-bit encoding.
     #[must_use]

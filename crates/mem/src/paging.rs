@@ -237,12 +237,11 @@ impl AddressSpace {
             for byte in vpn.to_le_bytes() {
                 mix(byte);
             }
-            let va = vpn << PAGE_SHIFT;
+            let frame = self
+                .translate(pm, vpn << PAGE_SHIFT)
+                .expect("mapped page translates");
             for off in (0..PAGE_SIZE).step_by(8) {
-                let word = pm.read_u64(
-                    self.translate(pm, va + off).expect("mapped page translates"),
-                );
-                for byte in word.to_le_bytes() {
+                for byte in pm.read_u64(frame + off).to_le_bytes() {
                     mix(byte);
                 }
             }
