@@ -17,7 +17,7 @@ use crate::runner::perfect_of;
 use crate::{header, parse_args, row, Args, Job, Report, Runner};
 
 /// One experiment's shared state: parsed arguments, the memoizing runner
-/// (configured from the two-tier flags), the machine-readable report, and
+/// (configured from the engine flags), the machine-readable report, and
 /// the wall clock.
 ///
 /// The runner is held through an [`Arc`] so a long-lived service (`smtxd`)
@@ -48,8 +48,6 @@ impl Experiment {
         let runner = Arc::new(
             Runner::new(args.jobs)
                 .with_skip(args.skip)
-                .with_checkpoint_cache(args.checkpoint)
-                .with_idle_skip(args.idle_skip)
                 .with_intervals(args.intervals)
                 .with_check(args.check)
                 .with_trace(args.trace.clone()),
@@ -57,23 +55,23 @@ impl Experiment {
         Experiment::on_runner(name, args, runner)
     }
 
-    /// Builds the frame on an existing (shared) runner. The two-tier fields
+    /// Builds the frame on an existing (shared) runner. The engine fields
     /// of the report are taken from the runner itself — the caller's `args`
     /// only supply the budget, seed and output destination — so a served
-    /// report always describes the engine that actually produced it.
+    /// report always describes the engine that actually produced it. Its
+    /// `checkpoint`/`idle_skip` keys are always `true` outside tests: only
+    /// a runner built with the reference-path seams turns them off.
     #[must_use]
     pub fn on_runner(name: &str, mut args: Args, runner: Arc<Runner>) -> Experiment {
         args.jobs = runner.jobs();
         args.skip = runner.skip();
-        args.checkpoint = runner.checkpoint_cache();
-        args.idle_skip = runner.idle_skip();
         args.intervals = runner.intervals();
         args.check = runner.check();
         args.trace = runner.trace_path().map(std::path::Path::to_path_buf);
         let mut report = Report::new(name, args.insts, args.seed, runner.jobs());
         report.skip = args.skip;
-        report.checkpoint = args.checkpoint;
-        report.idle_skip = args.idle_skip;
+        report.checkpoint = runner.checkpoint_cache();
+        report.idle_skip = runner.idle_skip();
         report.intervals = args.intervals;
         report.check = args.check;
         Experiment { args, runner, report, quiet: false, t0: Instant::now() }
@@ -98,9 +96,9 @@ impl Experiment {
 
     /// Prints the experiment banner: the headline `lines`, the budget line,
     /// and — only when fast-forwarding — the skip line. The banner depends
-    /// on nothing but `--insts` and `--skip`, so the stdout of two runs
-    /// differing only in `--checkpoint` or `--idle-skip` must be
-    /// byte-identical (CI diffs it).
+    /// on nothing but `--insts` and `--skip`: no engine mode (`--jobs`,
+    /// `--intervals`, `--check`, `--trace`, the runner's reference-path
+    /// seams) may show in stdout, just as none may move a row.
     pub fn banner(&self, lines: &[&str]) {
         for line in lines {
             self.println(line);
@@ -194,8 +192,6 @@ mod tests {
     fn with_args_threads_two_tier_flags_through() {
         let args = Args {
             skip: 1_000,
-            checkpoint: false,
-            idle_skip: false,
             intervals: 4,
             check: true,
             trace: Some("probe.trace".into()),
@@ -204,8 +200,7 @@ mod tests {
         let exp = Experiment::with_args("probe", args);
         assert_eq!(exp.runner.skip(), 1_000);
         assert_eq!(exp.report.skip, 1_000);
-        assert!(!exp.report.checkpoint);
-        assert!(!exp.report.idle_skip);
+        assert!(exp.report.checkpoint && exp.report.idle_skip, "fast paths are always on");
         assert_eq!(exp.runner.intervals(), 4, "--intervals threads through to the runner");
         assert_eq!(exp.report.intervals, 4);
         assert!(exp.report.check);

@@ -51,6 +51,21 @@ pub use runner::{Job, MixKey, RunKey, Runner};
 /// Default per-thread instruction budget for experiment binaries.
 pub const DEFAULT_INSTS: u64 = 300_000;
 
+/// Largest accepted per-thread budget: a fat-fingered one would otherwise
+/// wedge a run for hours.
+pub const MAX_INSTS: u64 = 50_000_000;
+
+/// The one range check on a requested per-thread budget, for the command
+/// line and `smtxd` job specs alike. A zero budget has no window to measure.
+///
+/// # Errors
+///
+/// Names the accepted range, `1..=`[`MAX_INSTS`], when `insts` is outside.
+pub fn check_insts(insts: u64) -> Result<u64, String> {
+    let ok = (1..=MAX_INSTS).contains(&insts);
+    ok.then_some(insts).ok_or_else(|| format!("must be in 1..={MAX_INSTS}, got {insts}"))
+}
+
 /// Safety cap on simulated cycles per run (generous — worst realistic IPC
 /// in the suite is ~0.05 under a deep traditional-trap configuration; a
 /// run that exceeds this is wedged, and the caller's assert reports it).
@@ -253,32 +268,6 @@ pub fn make_mix_checkpoint(mix: [Kernel; 3], seed: u64, skip: u64) -> Checkpoint
         .unwrap_or_else(|e| panic!("{mix:?} fast-forward failed: {e}"))
 }
 
-/// Restores `ck` into a fresh machine under `config` and measures `insts`
-/// user instructions on thread 0 (the uncached single-kernel path, used by
-/// the naive baseline binary; [`Runner`] has a memoized equivalent).
-///
-/// # Panics
-///
-/// Panics if the machine fails to retire the budget within the cycle cap.
-#[must_use]
-pub fn run_restored(
-    ck: &Checkpoint,
-    insts: u64,
-    config: MachineConfig,
-    idle_skip: bool,
-) -> RunResult {
-    let mut m = Machine::new(config);
-    m.set_idle_skip(idle_skip);
-    m.restore(ck);
-    m.set_epoch_len(epoch_schedule(insts));
-    m.set_budget(0, insts);
-    m.run(cycle_cap(insts));
-    let stats = m.stats().clone();
-    assert_eq!(stats.retired(0), insts, "restored run did not finish");
-    let arch_misses = ck.arch_misses_in_window(0, insts, epoch_schedule(insts));
-    RunResult { cycles: stats.cycles, retired: insts, arch_misses, stats }
-}
-
 /// Runs the detailed window of one interval chunk on a machine already
 /// positioned at the chunk's start boundary (freshly loaded, or restored
 /// from that boundary's functional checkpoint) with the epoch schedule
@@ -361,28 +350,14 @@ pub fn probe_insts(base_insts: u64) -> u64 {
 
 /// Scales `base_insts` so a measurement averages over at least
 /// [`MIN_MISSES`] misses, given `misses` observed over `probe`
-/// instructions. Shared by every budget path — the memoized runner, the
-/// free [`insts_for`], and the naive baseline's fast-forward probe — so
-/// they always agree on the per-kernel budget.
+/// instructions. Every budget path (the memoized [`Runner::insts_for`] and
+/// perfbench's replay) scales through here, so they agree on the
+/// per-kernel budget.
 #[must_use]
 pub fn scale_budget(misses: u64, probe: u64, base_insts: u64) -> u64 {
     let density = misses.max(1) as f64 / probe as f64;
     let needed = (MIN_MISSES as f64 / density).ceil() as u64;
     base_insts.max(needed)
-}
-
-/// Scales the requested budget up for low-miss-density kernels so every
-/// measurement averages over at least [`MIN_MISSES`] misses (the paper's
-/// 100M-instruction runs did this implicitly). Assembled programs ignore
-/// `base_insts`: their budget is their exact retired count to `HALT`,
-/// so the detailed machine finishes the window precisely at the halt.
-#[must_use]
-pub fn insts_for(kernel: Kernel, seed: u64, base_insts: u64) -> u64 {
-    if let Some(halt) = kernel.halting_insts() {
-        return halt;
-    }
-    let probe = probe_insts(base_insts);
-    scale_budget(arch_misses(kernel, seed, probe), probe, base_insts)
 }
 
 /// Assembles and registers each `--program` file as an `asm:<stem>`
@@ -442,13 +417,6 @@ pub struct Args {
     /// Tier-1 functional fast-forward length in instructions per thread
     /// (`--skip`, default 0 = measure from instruction zero).
     pub skip: u64,
-    /// Reuse one cached checkpoint per workload across all configurations
-    /// (`--checkpoint on|off`, default on). `off` rebuilds per run — same
-    /// rows, no reuse — and at `--skip 0` bypasses checkpoints entirely.
-    pub checkpoint: bool,
-    /// Tier-2 idle-cycle skipping in the detailed core (`--idle-skip
-    /// on|off`, default on). Bit-identical rows either way.
-    pub idle_skip: bool,
     /// Interval-parallel chunk count (`--intervals`, default 1 =
     /// monolithic). A pure scheduling knob: the run is cut at epoch-aligned
     /// boundaries and the chunks simulated concurrently, but the merged
@@ -480,8 +448,6 @@ impl Default for Args {
             seed: 42,
             jobs: 0,
             skip: 0,
-            checkpoint: true,
-            idle_skip: true,
             intervals: 1,
             check: false,
             json: None,
@@ -491,10 +457,9 @@ impl Default for Args {
     }
 }
 
-/// Parses the experiment flags from argv: `--insts N`, `--seed N`,
-/// `--jobs N`, `--skip N`, `--checkpoint on|off`, `--idle-skip on|off`,
-/// `--intervals N`, `--check on|off`, `--json PATH`, `--trace PATH` and
-/// `--program FILE.s` (repeatable).
+/// Parses the experiment flags from argv: `--insts N` (1..=[`MAX_INSTS`]),
+/// `--seed N`, `--jobs N`, `--skip N`, `--intervals N`, `--check on|off`,
+/// `--json PATH`, `--trace PATH` and `--program FILE.s` (repeatable).
 /// Unknown or malformed arguments abort with a usage
 /// message — a silently ignored typo (`--inst 500000`) would otherwise run
 /// the full default-budget experiment and report it as the requested one.
@@ -506,8 +471,8 @@ pub fn parse_args() -> Args {
             eprintln!("error: {msg}");
             eprintln!(
                 "usage: <experiment> [--insts N] [--seed N] [--jobs N] [--skip N] \
-                 [--checkpoint on|off] [--idle-skip on|off] [--intervals N] [--check on|off] \
-                 [--json PATH] [--trace PATH] [--program FILE.s]..."
+                 [--intervals N] [--check on|off] [--json PATH] [--trace PATH] \
+                 [--program FILE.s]..."
             );
             std::process::exit(2);
         }
@@ -526,7 +491,8 @@ pub fn parse_arg_list<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, S
             "--insts" => {
                 args.insts = value_for("--insts")?
                     .parse()
-                    .map_err(|e| format!("--insts: {e}"))?;
+                    .map_err(|e| format!("--insts: {e}"))
+                    .and_then(|n| check_insts(n).map_err(|e| format!("--insts: {e}")))?;
             }
             "--seed" => {
                 args.seed = value_for("--seed")?
@@ -542,12 +508,6 @@ pub fn parse_arg_list<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, S
                 args.skip = value_for("--skip")?
                     .parse()
                     .map_err(|e| format!("--skip: {e}"))?;
-            }
-            "--checkpoint" => {
-                args.checkpoint = parse_on_off("--checkpoint", &value_for("--checkpoint")?)?;
-            }
-            "--idle-skip" => {
-                args.idle_skip = parse_on_off("--idle-skip", &value_for("--idle-skip")?)?;
             }
             "--intervals" => {
                 args.intervals = value_for("--intervals")?
@@ -575,7 +535,12 @@ pub fn parse_arg_list<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, S
     Ok(args)
 }
 
-fn parse_on_off(flag: &str, value: &str) -> Result<bool, String> {
+/// Parses an `on`/`off` flag value (`--check` here and in `smtxd`).
+///
+/// # Errors
+///
+/// Names `flag` and the rejected value.
+pub fn parse_on_off(flag: &str, value: &str) -> Result<bool, String> {
     match value {
         "on" => Ok(true),
         "off" => Ok(false),
@@ -626,8 +591,7 @@ mod tests {
     fn parse_arg_list_accepts_all_flags() {
         let argv = [
             "--insts", "5000", "--seed", "7", "--jobs", "3", "--skip", "20000",
-            "--checkpoint", "off", "--idle-skip", "off", "--intervals", "8", "--check", "on",
-            "--json", "out.json", "--trace", "out.bin",
+            "--intervals", "8", "--check", "on", "--json", "out.json", "--trace", "out.bin",
         ]
         .iter()
         .map(|s| s.to_string());
@@ -636,8 +600,6 @@ mod tests {
         assert_eq!(args.seed, 7);
         assert_eq!(args.jobs, 3);
         assert_eq!(args.skip, 20_000);
-        assert!(!args.checkpoint);
-        assert!(!args.idle_skip);
         assert_eq!(args.intervals, 8);
         assert!(args.check);
         assert_eq!(args.json.as_deref(), Some(std::path::Path::new("out.json")));
@@ -648,8 +610,6 @@ mod tests {
     fn two_tier_flags_default_to_fast_path() {
         let args = parse_arg_list(std::iter::empty::<String>()).unwrap();
         assert_eq!(args.skip, 0);
-        assert!(args.checkpoint, "checkpoint reuse is the default");
-        assert!(args.idle_skip, "idle-cycle skipping is the default");
         assert_eq!(args.intervals, 1, "monolithic simulation is the default");
         assert!(!args.check, "the sanitizer is opt-in");
     }
@@ -665,15 +625,27 @@ mod tests {
         assert!(parse_arg_list(["--jobs".to_string(), "x".to_string()])
             .unwrap_err()
             .contains("--jobs"));
-        assert!(parse_arg_list(["--checkpoint".to_string(), "maybe".to_string()])
+        assert!(parse_arg_list(["--check".to_string(), "maybe".to_string()])
             .unwrap_err()
             .contains("expected `on` or `off`"));
-        assert!(parse_arg_list(["--idle-skip".to_string(), "1".to_string()])
-            .unwrap_err()
-            .contains("--idle-skip"));
+        // The engine's reference paths are test seams, not flags.
+        for flag in ["--checkpoint", "--idle-skip"] {
+            assert!(parse_arg_list([flag.to_string(), "off".to_string()])
+                .unwrap_err()
+                .contains("unknown argument"));
+        }
         assert!(parse_arg_list(["--intervals".to_string(), "0".to_string()])
             .unwrap_err()
             .contains("--intervals"));
+    }
+
+    #[test]
+    fn parse_arg_list_range_checks_insts() {
+        let insts = |v: &str| parse_arg_list(["--insts".to_string(), v.to_string()]);
+        assert!(insts("0").unwrap_err().contains("--insts: must be in 1..="));
+        assert!(insts(&(MAX_INSTS + 1).to_string()).unwrap_err().contains("--insts"));
+        assert_eq!(insts("1").unwrap().insts, 1);
+        assert_eq!(insts(&MAX_INSTS.to_string()).unwrap().insts, MAX_INSTS);
     }
 
     #[test]

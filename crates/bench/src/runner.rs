@@ -183,7 +183,7 @@ pub struct RunnerStats {
     pub sim_cycles: u64,
     /// Approximate resident bytes of the checkpoints currently cached
     /// (sum of per-entry estimates frozen at insertion; LRU-evicted past
-    /// the configured cap). Not monotonic, unlike the counters above.
+    /// [`DEFAULT_CHECKPOINT_CAP_BYTES`]). Not monotonic, unlike the counters above.
     pub checkpoint_bytes: u64,
     /// Wall-time histogram of checkpoint builds (bucket upper bounds in
     /// [`HIST_BOUNDS_MS`], last bucket unbounded).
@@ -212,7 +212,7 @@ pub struct Runner {
     /// Reuse one cached checkpoint per `(workload, seed, skip)` across all
     /// configurations. When off, every run rebuilds its checkpoint from
     /// scratch (and a `skip == 0` run loads the kernel directly) — the rows
-    /// must come out identical either way; CI diffs them.
+    /// must come out identical either way; `tests/mode_matrix.rs` holds it.
     use_checkpoints: bool,
     /// Tier-2 idle-cycle skipping in the detailed machine.
     idle_skip: bool,
@@ -225,7 +225,7 @@ pub struct Runner {
     /// boundaries and the chunks simulated concurrently from their
     /// boundary checkpoints. A pure scheduling knob — it enters no cache
     /// key and no config digest, and the merged stats are bit-identical
-    /// for every value (CI diffs the rows).
+    /// for every value (`tests/mode_matrix.rs` holds the rows).
     intervals: u64,
     // Lock-sharded hash maps: workers hash-select one of 16 shard locks,
     // so concurrent lookups rarely collide, and lookups clone the value
@@ -240,7 +240,6 @@ pub struct Runner {
     /// checkpoint; the front is evicted while `ck_bytes` exceeds the cap.
     ck_lru: Mutex<VecDeque<(CkKey, u64)>>,
     ck_bytes: AtomicU64,
-    ck_cap_bytes: u64,
     unique_runs: AtomicU64,
     cache_hits: AtomicU64,
     ck_hits: AtomicU64,
@@ -248,7 +247,7 @@ pub struct Runner {
     /// Binary trace capture (`--trace PATH`): every uniquely computed run
     /// appends one `RunStart`-prefixed event segment. Observation-only —
     /// the tracer is not part of [`MachineConfig::digest`] and the rows
-    /// stay bit-identical (CI diffs them).
+    /// stay bit-identical (`tests/mode_matrix.rs` holds them).
     trace_path: Option<PathBuf>,
     /// The trace file, opened lazily (magic written once) on the first
     /// segment; one segment is appended per completed run, atomically
@@ -302,8 +301,7 @@ fn stitch(kernel: Kernel, seed: u64, digest: u64, chunks: Vec<ChunkResult>) -> (
 impl Runner {
     /// Creates a runner executing up to `jobs` simulations concurrently;
     /// `0` selects the host's available parallelism. Fast-forward defaults
-    /// to 0 instructions; checkpoint reuse and idle-cycle skipping default
-    /// to on.
+    /// to 0 instructions; checkpoint reuse and idle-cycle skipping are on.
     #[must_use]
     pub fn new(jobs: usize) -> Runner {
         let jobs = if jobs == 0 {
@@ -324,7 +322,6 @@ impl Runner {
             checkpoints: ShardMap::new(),
             ck_lru: Mutex::new(VecDeque::new()),
             ck_bytes: AtomicU64::new(0),
-            ck_cap_bytes: DEFAULT_CHECKPOINT_CAP_BYTES,
             unique_runs: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             ck_hits: AtomicU64::new(0),
@@ -345,15 +342,18 @@ impl Runner {
         self
     }
 
-    /// Enables or disables checkpoint reuse (`--checkpoint on|off`).
+    /// Test seam, not a flag: `false` selects the reference path that
+    /// builds a fresh checkpoint per run (at skip 0, loads kernels
+    /// directly). The mode matrix turns it off to show no row changes.
     #[must_use]
     pub fn with_checkpoint_cache(mut self, on: bool) -> Runner {
         self.use_checkpoints = on;
         self
     }
 
-    /// Enables or disables tier-2 idle-cycle skipping in every simulated
-    /// machine (`--idle-skip on|off`).
+    /// Test seam, not a flag: `false` makes every machine step each cycle
+    /// instead of jumping over idle ones. The mode matrix turns it off to
+    /// show no row changes.
     #[must_use]
     pub fn with_idle_skip(mut self, on: bool) -> Runner {
         self.idle_skip = on;
@@ -365,14 +365,6 @@ impl Runner {
     #[must_use]
     pub fn with_intervals(mut self, intervals: u64) -> Runner {
         self.intervals = intervals.max(1);
-        self
-    }
-
-    /// Caps the approximate resident bytes of cached checkpoints
-    /// (least-recently-used entries are evicted past the cap).
-    #[must_use]
-    pub fn with_checkpoint_cap_bytes(mut self, bytes: u64) -> Runner {
-        self.ck_cap_bytes = bytes;
         self
     }
 
@@ -716,7 +708,8 @@ impl Runner {
         self.ck_bytes.fetch_add(bytes, Ordering::Relaxed);
         let mut lru = self.ck_lru.lock().expect("checkpoint lru");
         lru.push_back((key, bytes));
-        while self.ck_bytes.load(Ordering::Relaxed) > self.ck_cap_bytes && lru.len() > 1 {
+        let cap = DEFAULT_CHECKPOINT_CAP_BYTES;
+        while self.ck_bytes.load(Ordering::Relaxed) > cap && lru.len() > 1 {
             let (old, old_bytes) = lru.pop_front().expect("lru is non-empty");
             if old == key {
                 // Never evict the entry just inserted — its caller is
@@ -794,7 +787,7 @@ impl Runner {
     /// pure scheduling knob: it is not part of the [`RunKey`], and the
     /// merged stats are bit-identical for every value, so a cached
     /// monolithic result legitimately serves an interval request and vice
-    /// versa (CI's interval-exactness matrix holds that gate).
+    /// versa (`tests/mode_matrix.rs` holds that gate).
     pub fn run_with_intervals(
         &self,
         kernel: Kernel,

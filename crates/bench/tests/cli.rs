@@ -10,7 +10,7 @@ const EXPERIMENT_BINS: [&str; 9] = [
     env!("CARGO_BIN_EXE_fig2"),
     env!("CARGO_BIN_EXE_fig3"),
     env!("CARGO_BIN_EXE_fig5"),
-    env!("CARGO_BIN_EXE_fig5_naive"),
+    env!("CARGO_BIN_EXE_fig5_asm"),
     env!("CARGO_BIN_EXE_fig6"),
     env!("CARGO_BIN_EXE_fig7"),
     env!("CARGO_BIN_EXE_table2"),
@@ -51,5 +51,12 @@ fn experiment_bins_reject_malformed_values_with_exit_2() {
         assert!(stderr.contains("usage:"), "{bin}: {stderr}");
         let (code, stderr) = run(bin, &["--seed"]);
         assert_eq!(code, Some(2), "{bin} dangling --seed must exit 2, stderr: {stderr}");
+        // Out-of-range budgets and the engine's reference-path seams, which
+        // are not flags, are usage errors too.
+        for args in [&["--insts", "0"][..], &["--checkpoint", "off"], &["--idle-skip", "off"]] {
+            let (code, stderr) = run(bin, args);
+            assert_eq!(code, Some(2), "{bin} {args:?} must exit 2, stderr: {stderr}");
+            assert!(stderr.contains("usage:"), "{bin} {args:?}: {stderr}");
+        }
     }
 }

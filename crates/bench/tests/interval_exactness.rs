@@ -1,13 +1,13 @@
 //! Interval-splitting exactness: the merged per-chunk statistics must
 //! equal the monolithic run field-for-field, for every kernel, mechanism,
 //! and interval count — the property the interval-parallel engine (and
-//! CI's `interval-exactness` matrix) stands on.
+//! the `intervals` cells of `tests/mode_matrix.rs`) stands on.
 //!
 //! The tests drive `run_kernel_intervals` with a deliberately small
 //! explicit epoch (500 instructions over a 4300-instruction window) so
 //! epoch resets and chunk boundaries actually fire in debug builds; the
 //! production schedule (`epoch_schedule`) is exercised at the runner level
-//! and, at full scale, by the CI matrix on release binaries.
+//! and, over every figure, by the mode matrix.
 
 use smtx_bench::{
     config_with_idle, run_kernel, run_kernel_intervals, Runner, EPOCH_MIN_WINDOW,

@@ -26,7 +26,7 @@
 //! rather than panics, so a divergence can be reported with full cycle,
 //! thread, and sequence-number context.
 //!
-//! Like `--idle-skip`, the check mode is deliberately *not* part of
+//! Like idle-cycle skipping, the check mode is deliberately *not* part of
 //! [`crate::MachineConfig`] — it never changes simulated behavior, so it
 //! must not perturb config digests or memoized run keys.
 

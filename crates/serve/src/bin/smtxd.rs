@@ -3,12 +3,12 @@
 //! Boots the worker pool and the HTTP listener, then blocks until a client
 //! posts `/v1/shutdown` (in-flight jobs drain first). See DESIGN.md §10.
 
+use smtx_bench::parse_on_off;
 use smtx_serve::{server, ServiceConfig};
 
 const USAGE: &str = "usage: smtxd [--addr HOST] [--port N] [--workers N] [--runner-jobs N] \
  [--queue-cap N] [--results-cap N] [--deadline-ms N] [--skip N] \
- [--checkpoint on|off] [--idle-skip on|off] [--intervals N] [--check on|off] \
- [--asm DIR]";
+ [--intervals N] [--check on|off] [--asm DIR]";
 
 struct Opts {
     addr: String,
@@ -34,13 +34,6 @@ fn parse(argv: impl IntoIterator<Item = String>) -> Result<Opts, String> {
         {
             v.parse().map_err(|e| format!("{flag}: {e}"))
         }
-        fn on_off(flag: &str, v: &str) -> Result<bool, String> {
-            match v {
-                "on" => Ok(true),
-                "off" => Ok(false),
-                other => Err(format!("{flag}: expected `on` or `off`, got `{other}`")),
-            }
-        }
         match arg.as_str() {
             "--addr" => opts.addr = value_for("--addr")?,
             "--port" => opts.port = num("--port", &value_for("--port")?)?,
@@ -59,17 +52,11 @@ fn parse(argv: impl IntoIterator<Item = String>) -> Result<Opts, String> {
                     num("--deadline-ms", &value_for("--deadline-ms")?)?;
             }
             "--skip" => opts.config.skip = num("--skip", &value_for("--skip")?)?,
-            "--checkpoint" => {
-                opts.config.checkpoint = on_off("--checkpoint", &value_for("--checkpoint")?)?;
-            }
-            "--idle-skip" => {
-                opts.config.idle_skip = on_off("--idle-skip", &value_for("--idle-skip")?)?;
-            }
             "--intervals" => {
                 opts.config.intervals = num("--intervals", &value_for("--intervals")?)?;
             }
             "--check" => {
-                opts.config.check = on_off("--check", &value_for("--check")?)?;
+                opts.config.check = parse_on_off("--check", &value_for("--check")?)?;
             }
             "--asm" => opts.asm_dirs.push(value_for("--asm")?.into()),
             other => return Err(format!("unknown argument `{other}`")),
@@ -123,4 +110,19 @@ fn main() {
     println!("smtxd listening on {}", handle.addr());
     handle.join();
     println!("smtxd drained and stopped");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse;
+
+    #[test]
+    fn parse_rejects_removed_flags_and_bad_on_off_values() {
+        for flag in ["--checkpoint", "--idle-skip"] {
+            let err = parse([flag, "off"].map(String::from)).err().expect("flag is gone");
+            assert!(err.contains("unknown argument"), "{flag}: {err}");
+        }
+        let err = parse(["--check", "maybe"].map(String::from)).err().expect("bad value");
+        assert!(err.contains("expected `on` or `off`"), "{err}");
+    }
 }

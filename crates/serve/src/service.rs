@@ -18,7 +18,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use smtx_bench::{config_with_idle, figures, Args, Experiment, Runner, DEFAULT_INSTS};
+use smtx_bench::{check_insts, config_with_idle, figures, Args, Experiment, Runner, DEFAULT_INSTS};
 use smtx_core::ExnMechanism;
 use smtx_util::StableHasher;
 use smtx_workloads::Kernel;
@@ -41,10 +41,6 @@ pub struct ServiceConfig {
     pub default_deadline_ms: u64,
     /// Tier-1 fast-forward length for the shared runner.
     pub skip: u64,
-    /// Whether the shared runner caches fast-forward checkpoints.
-    pub checkpoint: bool,
-    /// Whether the shared runner skips idle cycles (tier 2).
-    pub idle_skip: bool,
     /// Interval-parallel chunk count for the shared runner (1 =
     /// monolithic). Pure scheduling: rows are identical for every value.
     pub intervals: u64,
@@ -62,8 +58,6 @@ impl Default for ServiceConfig {
             results_cap: 256,
             default_deadline_ms: 600_000,
             skip: 0,
-            checkpoint: true,
-            idle_skip: true,
             intervals: 1,
             check: false,
         }
@@ -108,11 +102,6 @@ pub enum JobSpec {
     },
 }
 
-/// Largest accepted per-thread budget — a fat-fingered `insts` would
-/// otherwise wedge a worker for hours; run the binaries directly for
-/// campaigns that big.
-pub const MAX_INSTS: u64 = 50_000_000;
-
 impl JobSpec {
     /// Parses and validates a submission body.
     pub fn from_json(v: &Json) -> Result<JobSpec, String> {
@@ -123,9 +112,7 @@ impl JobSpec {
             None => DEFAULT_INSTS,
             Some(n) => n.as_u64().ok_or("`insts` must be a non-negative integer")?,
         };
-        if insts == 0 || insts > MAX_INSTS {
-            return Err(format!("`insts` must be in 1..={MAX_INSTS}"));
-        }
+        check_insts(insts).map_err(|e| format!("`insts` {e}"))?;
         let seed = match v.get("seed") {
             None => 42,
             Some(n) => n.as_u64().ok_or("`seed` must be a non-negative integer")?,
@@ -401,8 +388,6 @@ impl Service {
             Arc::new(
                 Runner::new(config.runner_jobs)
                     .with_skip(config.skip)
-                    .with_checkpoint_cache(config.checkpoint)
-                    .with_idle_skip(config.idle_skip)
                     .with_intervals(config.intervals)
                     .with_check(check),
             )

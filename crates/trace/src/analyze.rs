@@ -23,6 +23,7 @@
 //! `cycles − perfect.cycles` — the residual measures work the machine
 //! overlapped with episodes rather than lost to them.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use smtx_core::{RaiseKind, SquashCause, TraceEvent};
@@ -402,12 +403,15 @@ impl Segment {
 
 /// Splits a decoded event stream at `RunStart` markers and analyzes each
 /// segment independently. Events before the first marker (machine-only
-/// traces have no markers at all) form a segment with `run: None`.
+/// traces have no markers at all) form a segment with `run: None`. The
+/// stream is read once, so [`crate::codec::events`] can feed it without
+/// holding every event.
 #[must_use]
-pub fn analyze(events: &[TraceEvent]) -> Vec<SegmentAnalysis> {
+pub fn analyze<E: Borrow<TraceEvent>>(events: impl IntoIterator<Item = E>) -> Vec<SegmentAnalysis> {
     let mut out = Vec::new();
     let mut current: Option<Segment> = None;
     for ev in events {
+        let ev = ev.borrow();
         if let TraceEvent::RunStart { kernel, seed, insts, digest } = *ev {
             if let Some(seg) = current.take() {
                 out.push(seg.finish());
@@ -466,7 +470,7 @@ mod tests {
             TraceEvent::Retire { cycle: 40, tid: 0, seq: 7, pc: 0, pal: false },
             TraceEvent::End { cycle: 50 },
         ];
-        let segs = analyze(&events);
+        let segs = analyze(events);
         assert_eq!(segs.len(), 1);
         let s = &segs[0];
         assert_eq!(s.end_cycle, 50);
@@ -501,7 +505,7 @@ mod tests {
             TraceEvent::Rename { cycle: 30, tid: 0, seq: 31 },
             TraceEvent::End { cycle: 60 },
         ];
-        let s = &analyze(&events)[0];
+        let s = &analyze(events)[0];
         assert_eq!(s.squash_refill, (14 - 10) + (30 - 25));
         assert_eq!(s.trap_occupancy, 25 - 14);
         assert_eq!(s.spliced_occupancy, 0);
@@ -518,7 +522,7 @@ mod tests {
             TraceEvent::RunStart { kernel: 5, seed: 6, insts: 7, digest: 8 },
             TraceEvent::End { cycle: 200 },
         ];
-        let segs = analyze(&events);
+        let segs = analyze(events);
         assert_eq!(segs.len(), 2);
         assert_eq!(segs[0].run, Some(RunId { kernel: 1, seed: 2, insts: 3, digest: 4 }));
         assert_eq!(segs[0].end_cycle, 100);

@@ -241,15 +241,20 @@ fn decode_event(bytes: &[u8], pos: &mut usize) -> Result<TraceEvent, String> {
 
 /// Decodes a complete trace file (magic checked).
 pub fn decode(bytes: &[u8]) -> Result<Vec<TraceEvent>, String> {
+    events(bytes)?.collect()
+}
+
+/// Decodes a trace file one event at a time (magic checked up front), so
+/// [`crate::analyze`] can read it without holding every event. Stop at the
+/// first `Err`: the bytes after it do not parse.
+pub fn events(
+    bytes: &[u8],
+) -> Result<impl Iterator<Item = Result<TraceEvent, String>> + '_, String> {
     if bytes.len() < MAGIC.len() || bytes[..MAGIC.len()] != MAGIC {
         return Err("not an smtx trace (bad magic)".to_string());
     }
     let mut pos = MAGIC.len();
-    let mut out = Vec::new();
-    while pos < bytes.len() {
-        out.push(decode_event(bytes, &mut pos)?);
-    }
-    Ok(out)
+    Ok(std::iter::from_fn(move || (pos < bytes.len()).then(|| decode_event(bytes, &mut pos))))
 }
 
 #[cfg(test)]

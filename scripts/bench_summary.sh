@@ -3,16 +3,10 @@
 # trajectory) in BENCH_fig5.json, BENCH_fig2.json, BENCH_fig7.json and
 # BENCH_fig5_asm.json (the assembled-program corpus, run to HALT).
 #
-# Correctness gates (run before any timing): the two-tier engine is an
-# optimization, not an approximation, so every mode must print identical
-# rows —
-#   1. fig5_naive vs fig5 at skip 0 (the PR 1 gate: memoizing runner);
-#   2. fig5 with --checkpoint on/off and --idle-skip on/off, at skip 0 and
-#      at skip > 0, plus fig5_naive under fast-forward.
+# That every engine mode prints identical rows is not re-checked here:
+# tests/mode_matrix.rs holds it (run in tier-1 tests and CI).
 #
 # Timings (all covering the same SKIP+DETAILED instruction window):
-#   pr1_path — fig5 --insts N --checkpoint off --idle-skip off: the PR 1
-#              algorithm on the current build;
 #   idle_skip — fig5 --insts N: tier 2 only;
 #   two_tier — fig5 --insts DETAILED --skip SKIP: tier 1 + tier 2, the
 #              headline (rows differ from the above — the measurement
@@ -25,8 +19,8 @@
 # samples).
 #
 # The recorded speedup compares two_tier against the wall time recorded by
-# the previous PR in BENCH_fig5.json (the perf trajectory), falling back to
-# pr1_path on the current build when no recording exists.
+# the previous PR in BENCH_fig5.json (the perf trajectory); a figure's
+# first recording is its own baseline (speedup 1.0).
 #
 # Every run records under an explicit PR number (--pr N, required): history
 # entries carry the PR that produced them, not their position in the list,
@@ -66,36 +60,11 @@ fi
 
 cargo build --release -p smtx-bench
 
-NAIVE=./target/release/fig5_naive
 FAST=./target/release/fig5
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
-echo "== correctness: every mode must print identical rows =="
-diff <("$NAIVE" --insts 2000) <("$FAST" --insts 2000 --jobs "$JOBS") \
-    && echo "ok: naive == runner at skip 0"
-"$FAST" --insts 2000 --skip 6000 > "$TMP/ref.txt"
-for mode in "--checkpoint off" "--idle-skip off" "--checkpoint off --idle-skip off"; do
-    # shellcheck disable=SC2086
-    diff "$TMP/ref.txt" <("$FAST" --insts 2000 --skip 6000 $mode) \
-        && echo "ok: fast-forward rows independent of: $mode"
-done
-diff "$TMP/ref.txt" <("$NAIVE" --insts 2000 --skip 6000) \
-    && echo "ok: naive == runner under fast-forward"
-diff "$TMP/ref.txt" <("$FAST" --insts 2000 --skip 6000 --check on) \
-    && echo "ok: --check is observation-only (identical rows)"
-# 96k instructions clear EPOCH_MIN_WINDOW (windows shorter than two whole
-# 5000-instruction epochs get no epoch schedule at all) with epochs to
-# spare, so --intervals 8 genuinely splits the window (clamped to one
-# chunk per epoch) instead of degenerating to the monolithic case.
-diff <("$FAST" --insts 96000 --jobs "$JOBS") \
-     <("$FAST" --insts 96000 --jobs "$JOBS" --intervals 8) \
-    && echo "ok: --intervals is scheduling-only at skip 0 (identical rows)"
-diff <("$FAST" --insts 96000 --skip 6000 --jobs "$JOBS") \
-     <("$FAST" --insts 96000 --skip 6000 --jobs "$JOBS" --intervals 8) \
-    && echo "ok: --intervals is scheduling-only under fast-forward (identical rows)"
-
-# Each timing is the median of RUNS back-to-back executions: on the 1-CPU
+# Each timing is the median of RUNS back-to-back executions: on a small
 # box a single sample swings with scheduler noise, and a flagged
 # "regression" should mean the code, not the neighbor VM.
 RUNS=3
@@ -110,9 +79,7 @@ ms() { # ms <out-var> <cmd...>
     printf -v "$__var" '%d' "${samples[$(( RUNS / 2 ))]}"
 }
 
-echo "== timing fig5: pr1 path / idle skip / two tier =="
-ms PR1_MS   "$FAST" --insts "$INSTS" --jobs "$JOBS" --checkpoint off --idle-skip off
-echo "pr1_path   (--insts $INSTS, checkpoint+skipping off): ${PR1_MS} ms"
+echo "== timing fig5: idle skip / two tier =="
 ms IDLE_MS  "$FAST" --insts "$INSTS" --jobs "$JOBS"
 echo "idle_skip  (--insts $INSTS):                          ${IDLE_MS} ms"
 ms TWO_MS   "$FAST" --insts "$DETAILED" --skip "$SKIP" --jobs "$JOBS" --json "$TMP/fig5.json"
@@ -127,63 +94,44 @@ echo "interval_par (--insts $INSTS --intervals 4):          ${IPAR_MS} ms"
 
 echo "== timing fig5_asm (assembled-program corpus, exact halting budgets) =="
 ASM=./target/release/fig5_asm
-# The asm figure has no --insts/--skip window: each row runs its program to
-# HALT, so the only gates are the scheduling/observation modes.
-diff <("$ASM" --jobs "$JOBS") <("$ASM" --jobs "$JOBS" --intervals 8) \
-    && echo "ok: fig5_asm --intervals is scheduling-only (identical rows)"
-diff <("$ASM" --jobs "$JOBS") <("$ASM" --jobs "$JOBS" --check on) \
-    && echo "ok: fig5_asm --check is observation-only (identical rows)"
 ms ASM_MS "$ASM" --jobs "$JOBS" --json "$TMP/fig5_asm.json"
 echo "fig5_asm   (corpus to HALT):                          ${ASM_MS} ms"
 ms ASM_IPAR_MS "$ASM" --jobs "$JOBS" --intervals 4
 echo "fig5_asm interval_par (--intervals 4):                ${ASM_IPAR_MS} ms"
 
-echo "== timing fig2 and fig7 (pr1 path, then two tier) =="
-ms FIG2_PR1 ./target/release/fig2 --insts "$INSTS" --jobs "$JOBS" --checkpoint off --idle-skip off
+echo "== timing fig2 and fig7 (two tier) =="
 ms FIG2_MS ./target/release/fig2 --insts "$DETAILED" --skip "$SKIP" --jobs "$JOBS" --json "$TMP/fig2.json"
-echo "fig2: pr1 path ${FIG2_PR1} ms, two tier (--insts $DETAILED --skip $SKIP) ${FIG2_MS} ms"
-ms FIG7_PR1 ./target/release/fig7 --insts "$INSTS" --jobs "$JOBS" --checkpoint off --idle-skip off
+echo "fig2: two tier (--insts $DETAILED --skip $SKIP) ${FIG2_MS} ms"
 ms FIG7_MS ./target/release/fig7 --insts "$DETAILED" --skip "$SKIP" --jobs "$JOBS" --json "$TMP/fig7.json"
-echo "fig7: pr1 path ${FIG7_PR1} ms, two tier (--insts $DETAILED --skip $SKIP) ${FIG7_MS} ms"
+echo "fig7: two tier (--insts $DETAILED --skip $SKIP) ${FIG7_MS} ms"
 
-python3 - "$TMP" "$PR1_MS" "$IDLE_MS" "$TWO_MS" "$FIG2_MS" "$FIG7_MS" "$FIG2_PR1" "$FIG7_PR1" "$CHECK_MS" "$IPAR_MS" "$PR" "$ALGO" "$RUNS" "$ASM_MS" "$ASM_IPAR_MS" <<'PY'
+python3 - "$TMP" "$IDLE_MS" "$TWO_MS" "$FIG2_MS" "$FIG7_MS" "$CHECK_MS" "$IPAR_MS" "$PR" "$ALGO" "$RUNS" "$ASM_MS" "$ASM_IPAR_MS" <<'PY'
 import json, os, sys
 
 tmp = sys.argv[1]
-pr1_ms, idle_ms, two_ms, fig2_ms, fig7_ms, fig2_pr1, fig7_pr1, check_ms, ipar_ms, pr = map(int, sys.argv[2:12])
-algo = sys.argv[12]
-runs = int(sys.argv[13])
-asm_ms, asm_ipar_ms = map(int, sys.argv[14:16])
+idle_ms, two_ms, fig2_ms, fig7_ms, check_ms, ipar_ms, pr = map(int, sys.argv[2:9])
+algo = sys.argv[9]
+runs = int(sys.argv[10])
+asm_ms, asm_ipar_ms = map(int, sys.argv[11:13])
 
 def load(path):
     return json.load(open(path)) if os.path.exists(path) else None
 
-def record(name, report, wall_ms, modes, algorithm, pr1_path_ms):
+def record(name, report, wall_ms, modes, algorithm):
     """Write BENCH_<name>.json, carrying forward the perf trajectory.
 
     Each history entry is keyed by the PR that recorded it (explicit --pr,
     never positional), labeled with that PR's engine algorithm. The speedup
     baseline is the latest earlier PR's recorded wall time; a figure
-    measured for the first time compares against the PR 1 algorithm
-    (checkpointing and skipping off) timed on the current build. A re-run
+    measured for the first time is its own baseline. A re-run
     within one PR replaces that PR's entry. Entries slower than their
     baseline carry "regression": true, and best_wall_ms tracks the fastest
     wall time across the whole history.
     """
     out = f"BENCH_{name}.json"
     prev = load(out)
-    history = (prev or {}).get("history", [])
-    if prev and not history:
-        # The PR 1 recording predates the trajectory format: fold its
-        # headline numbers into the first history entry.
-        history = [{
-            "pr": 1,
-            "wall_ms": prev["wall_ms"],
-            "algorithm": "memoizing parallel runner (PR 1)",
-            "speedup": prev.get("speedup"),
-        }]
-    history = [h for h in history if h.get("pr") != pr]
-    baseline_ms = history[-1]["wall_ms"] if history else pr1_path_ms
+    history = [h for h in (prev or {}).get("history", []) if h.get("pr") != pr]
+    baseline_ms = history[-1]["wall_ms"] if history else wall_ms
     speedup = round(baseline_ms / max(wall_ms, 1), 2)
     entry = {
         "pr": pr,
@@ -207,13 +155,10 @@ def record(name, report, wall_ms, modes, algorithm, pr1_path_ms):
     print(f"{out}: PR {pr}: {wall_ms} ms, {speedup}x vs previous recording ({baseline_ms} ms){note}")
 
 record("fig5", load(f"{tmp}/fig5.json"), two_ms,
-       {"pr1_path_ms": pr1_ms, "idle_skip_ms": idle_ms, "two_tier_ms": two_ms,
-        "two_tier_check_ms": check_ms, "interval_par_ms": ipar_ms},
-       algo, pr1_ms)
-record("fig2", load(f"{tmp}/fig2.json"), fig2_ms,
-       {"pr1_path_ms": fig2_pr1, "two_tier_ms": fig2_ms}, algo, fig2_pr1)
-record("fig7", load(f"{tmp}/fig7.json"), fig7_ms,
-       {"pr1_path_ms": fig7_pr1, "two_tier_ms": fig7_ms}, algo, fig7_pr1)
+       {"idle_skip_ms": idle_ms, "two_tier_ms": two_ms,
+        "two_tier_check_ms": check_ms, "interval_par_ms": ipar_ms}, algo)
+record("fig2", load(f"{tmp}/fig2.json"), fig2_ms, {"two_tier_ms": fig2_ms}, algo)
+record("fig7", load(f"{tmp}/fig7.json"), fig7_ms, {"two_tier_ms": fig7_ms}, algo)
 record("fig5_asm", load(f"{tmp}/fig5_asm.json"), asm_ms,
-       {"full_run_ms": asm_ms, "interval_par_ms": asm_ipar_ms}, algo, asm_ms)
+       {"full_run_ms": asm_ms, "interval_par_ms": asm_ipar_ms}, algo)
 PY

@@ -10,7 +10,7 @@
 
 use smtx::core::{ExnMechanism, Machine, MachineConfig};
 use smtx::workloads::{load_kernel, Kernel};
-use smtx_bench::{config_with_idle, make_checkpoint, make_mix_checkpoint, run_restored};
+use smtx_bench::{config_with_idle, make_checkpoint, make_mix_checkpoint, Runner};
 
 const SEED: u64 = 42;
 const SKIP: u64 = 6_000;
@@ -93,10 +93,11 @@ fn zero_skip_restore_is_bit_identical_to_direct_load() {
 /// state (the mechanisms differ only in time).
 #[test]
 fn one_checkpoint_serves_every_configuration() {
-    let ck = make_checkpoint(Kernel::Murphi, SEED, SKIP);
-    let baseline = run_restored(&ck, INSTS, config_with_idle(ExnMechanism::PerfectTlb, 1), true);
+    let runner = Runner::new(1).with_skip(SKIP);
+    let perfect = config_with_idle(ExnMechanism::PerfectTlb, 1);
+    let baseline = runner.run(Kernel::Murphi, SEED, INSTS, &perfect);
     for mech in [ExnMechanism::Traditional, ExnMechanism::Hardware, ExnMechanism::QuickStart] {
-        let r = run_restored(&ck, INSTS, config_with_idle(mech, 1), true);
+        let r = runner.run(Kernel::Murphi, SEED, INSTS, &config_with_idle(mech, 1));
         assert_eq!(r.retired, baseline.retired);
         assert_eq!(
             r.arch_misses, baseline.arch_misses,
@@ -107,6 +108,7 @@ fn one_checkpoint_serves_every_configuration() {
             "{mech:?} cannot beat the perfect TLB"
         );
     }
+    assert!(runner.stats().checkpoint_hits >= 3, "later configurations reuse the checkpoint");
 }
 
 /// Multiprogrammed mixes fast-forward exactly too: address spaces own
